@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
     const double spawn = measure_mbps(
         [&] { encode_spawning(code, plan, stripe.view(), threads, spawn_ws); }, stripe_bytes);
     const double pool = measure_mbps(
-        [&] { code.encode_parallel(stripe.view(), threads, method, &pool_ws); }, stripe_bytes);
+        [&] { code.encode(stripe.view(), method, &pool_ws, ExecPolicy::sliced(threads)); }, stripe_bytes);
     if (threads == 1) {
       spawn_base = spawn;
       pool_base = pool;

@@ -3,7 +3,7 @@
 // many stripes concurrently, not one big stripe sliced ever thinner).
 //
 //   batch=1  — the session range-slices the lone stripe across the idle pool,
-//              so it should match the classic pooled encode_parallel call;
+//              so it should match the classic pooled encode call;
 //   batch>=pool width — one stripe per task, workers never idle between
 //              stripes, no intra-stripe synchronization at all.
 //
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   // Baseline: the classic single-stripe pooled call (full pool width).
   Workspace baseline_ws;
   const double encode_pooled = measure_mbps(
-      [&] { code.encode_parallel(stripes[0].view(), 0, EncodingMethod::kAuto, &baseline_ws); },
+      [&] { code.encode(stripes[0].view(), EncodingMethod::kAuto, &baseline_ws, ExecPolicy::pooled()); },
       stripe_bytes);
 
   // Failure-epoch mask: one whole chunk lost. The decode baseline replays
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < cfg.r; ++i) mask[i * cfg.n + 2] = true;
   const double decode_pooled = measure_mbps(
       [&] {
-        code.decode_parallel(stripes[0].view(), mask, 0, &baseline_ws, &codec.plan_cache());
+        code.decode(stripes[0].view(), mask, &baseline_ws, &codec.plan_cache(), ExecPolicy::pooled());
       },
       stripe_bytes);
 

@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
   std::printf("\nbatch pipeline, %zu stripes in flight (pool width %zu):\n", batch,
               ThreadPool::default_pool().concurrency());
   const double pooled = measure(
-      [&] { code.encode_parallel(stripe.view(), 0, EncodingMethod::kAuto, &ws); }, stripe_bytes);
+      [&] { code.encode(stripe.view(), EncodingMethod::kAuto, &ws, ExecPolicy::pooled()); }, stripe_bytes);
   std::printf("encode 1-stripe pooled %8.0f MB/s\n", pooled);
 
   std::vector<StripeBuffer> stripes;

@@ -18,12 +18,18 @@ namespace stair {
 std::vector<std::size_t> parse_coverage_list(const std::string& text) {
   std::vector<std::size_t> values;
   std::size_t pos = 0;
-  while (pos < text.size()) {
+  do {
     std::size_t next = text.find(',', pos);
     if (next == std::string::npos) next = text.size();
-    values.push_back(std::strtoull(text.substr(pos, next - pos).c_str(), nullptr, 10));
+    const std::string token = text.substr(pos, next - pos);
+    errno = 0;
+    const unsigned long long v = std::strtoull(token.c_str(), nullptr, 10);
+    if (token.empty() || token.find_first_not_of("0123456789") != std::string::npos ||
+        errno == ERANGE)
+      throw std::invalid_argument("coverage list '" + text + "': bad entry '" + token + "'");
+    values.push_back(static_cast<std::size_t>(v));
     pos = next + 1;
-  }
+  } while (pos <= text.size());
   return values;
 }
 
@@ -68,6 +74,72 @@ std::string StripeStore::device_path(const std::string& dir, std::size_t device)
 
 std::string StripeStore::manifest_path(const std::string& dir) {
   return dir + "/manifest.txt";
+}
+
+bool StripeStore::sector_ok(std::size_t stripe, std::size_t device, std::size_t row,
+                            std::span<const std::uint8_t> bytes) const {
+  return content_hash64(bytes) == sector_checksums[(stripe * cfg.n + device) * cfg.r + row];
+}
+
+StripeStore::ChunkVerdict StripeStore::verify_chunk(std::size_t stripe, std::size_t device,
+                                                    const io::Result& result,
+                                                    const std::uint8_t* staging,
+                                                    std::span<std::uint8_t> bad,
+                                                    StripeBuffer* into) const {
+  ChunkVerdict verdict;
+  if (result.error != 0 || result.bytes != padded_chunk_bytes()) {
+    // The transfer itself failed (missing device, EIO, short chunk): nothing
+    // in this chunk can be trusted — erase the whole column.
+    verdict.missing = true;
+    for (std::size_t i = 0; i < cfg.r; ++i) bad[i * cfg.n + device] = 1;
+    return verdict;
+  }
+  // Sector by sector: only the sectors whose content lies (torn write, bit
+  // rot) are erased, which is what turns a scribbled-on chunk into a
+  // *sector* failure pattern instead of burning a device credit.
+  for (std::size_t i = 0; i < cfg.r; ++i) {
+    const std::span<const std::uint8_t> sector(staging + i * symbol_bytes, symbol_bytes);
+    const bool ok = sector_ok(stripe, device, i, sector);
+    bad[i * cfg.n + device] = ok ? 0 : 1;
+    if (!ok)
+      ++verdict.corrupt;
+    else if (into)
+      std::memcpy(into->symbol(i, device).data(), sector.data(), symbol_bytes);
+  }
+  return verdict;
+}
+
+std::size_t StripeStore::erasure_mask(std::span<const std::uint8_t> bad,
+                                      std::vector<bool>& mask) {
+  mask.assign(bad.begin(), bad.end());
+  return static_cast<std::size_t>(std::count(mask.begin(), mask.end(), true));
+}
+
+void StripeStore::stage_chunk(const StripeView& view, std::size_t device,
+                              std::uint8_t* staging, std::span<std::uint64_t> hashes) const {
+  for (std::size_t i = 0; i < cfg.r; ++i) {
+    const std::span<const std::uint8_t> symbol = view.stored[i * cfg.n + device];
+    std::memcpy(staging + i * symbol_bytes, symbol.data(), symbol_bytes);
+    if (!hashes.empty()) hashes[i] = content_hash64(symbol);
+  }
+  // Pad bytes are written as zeros: the padded row goes in one aligned write,
+  // and the files stay identical whether or not O_DIRECT engaged.
+  std::memset(staging + chunk_bytes(), 0, padded_chunk_bytes() - chunk_bytes());
+}
+
+std::uint64_t StripeStore::data_hash(std::size_t stripe, const StairLayout& layout) const {
+  std::vector<std::uint64_t> hashes;
+  hashes.reserve(layout.data_ids().size());
+  for (std::uint32_t id : layout.data_ids())
+    hashes.push_back(
+        sector_checksums[(stripe * cfg.n + layout.col_of(id)) * cfg.r + layout.row_of(id)]);
+  return combine_hashes(hashes);
+}
+
+std::uint64_t StripeStore::fold_data_checksum(const StairLayout& layout) const {
+  std::vector<std::uint64_t> hashes(stripes);
+  for (std::size_t s = 0; s < stripes; ++s) hashes[s] = data_hash(s, layout);
+  return combine_hashes(hashes);
 }
 
 void StripeStore::save(const std::string& dir) const {
@@ -150,7 +222,11 @@ StripeStore StripeStore::load(const std::string& dir) {
       store.cfg.m = manifest_read<std::size_t>(in, "m");
     } else if (key == "e") {
       const auto v = manifest_read<std::string>(in, "e");
-      store.cfg.e = v == "-" ? std::vector<std::size_t>{} : parse_coverage_list(v);
+      try {
+        store.cfg.e = v == "-" ? std::vector<std::size_t>{} : parse_coverage_list(v);
+      } catch (const std::exception& e) {
+        manifest_fail(std::string("e invalid: ") + e.what());
+      }
     } else if (key == "w") {
       store.cfg.w = manifest_read<int>(in, "w");
     } else if (key == "symbol") {
@@ -203,6 +279,14 @@ StripeStore StripeStore::load(const std::string& dir) {
     manifest_fail(std::string("geometry invalid: ") + e.what());
   }
   if (store.symbol_bytes == 0) manifest_fail("missing symbol size");
+  // Ranged reads index the checksums of every stripe file_size reaches, so
+  // file_size may not claim more data than `stripes` stripes hold.
+  std::size_t capacity = 0;
+  if (__builtin_mul_overflow(store.cfg.data_symbols_inside(), store.symbol_bytes, &capacity) ||
+      __builtin_mul_overflow(capacity, store.stripes, &capacity) ||
+      store.file_size > capacity)
+    manifest_fail("file_size " + std::to_string(store.file_size) + " exceeds " +
+                  std::to_string(store.stripes) + " stripes");
   if (chunk_lines != store.stripes * store.cfg.n)
     manifest_fail("truncated: " + std::to_string(chunk_lines) + " of " +
                   std::to_string(store.stripes * store.cfg.n) + " chunk lines");
@@ -213,55 +297,28 @@ StripeStore StripeStore::load(const std::string& dir) {
 // IoPipeline
 // ---------------------------------------------------------------------------
 
-/// One leased stripe slot: the StripeBuffer the Codec works on plus the
-/// staging the IO side reads into / writes from. Reused warm via the pool.
-struct IoPipeline::Slot {
-  std::optional<StripeBuffer> buf;
-  std::vector<std::uint8_t> data;  // flat stripe data staging (user file side)
-  // Per-device chunk staging: aligned leases from the pipeline's buffer
-  // pool, so chunk transfers satisfy O_DIRECT alignment and (when the pool
-  // is registered) ride the fixed-buffer path. A reused slot keeps its
-  // leases warm; prepare_slot re-leases only on geometry change.
-  std::vector<IoBufferPool::Lease> chunks;
-  std::vector<io::Result> results;      // decode: per-chunk outcome
-  std::vector<bool> mask;               // decode: erased symbols
-  std::atomic<std::size_t> pending{0};  // countdown to stage change
-};
+void StripeSlot::prepare(const StairCode& code, std::size_t symbol_bytes,
+                         std::size_t padded_chunk, IoBufferPool& pool) {
+  const StairConfig& cfg = code.config();
+  if (!buf || buf->symbol_size() != symbol_bytes) buf.emplace(code, symbol_bytes);
+  chunks.resize(cfg.n);
+  for (auto& lease : chunks)
+    if (!lease || lease->bytes < padded_chunk) lease = pool.acquire();
+  results.assign(cfg.n, io::Result{});
+  sector_bad.assign(cfg.r * cfg.n, 0);
+}
 
 /// Per-operation shared state. Lives on the encode_file/decode_file stack;
 /// drain() guarantees no callback outlives it.
 struct IoPipeline::Run {
-  const StripeStore* store = nullptr;
+  StripeStore* store = nullptr;  // encode commits each stripe's checksums into it
   int file_fd = -1;  // input (encode) / output (decode)
   std::vector<int> dev_fds;
   std::size_t symbol_bytes = 0;
   std::size_t stripe_data = 0;  // data bytes per stripe
-  std::size_t chunk_bytes = 0;
-  std::size_t padded_chunk = 0;  // on-disk chunk stride (chunk_bytes rounded up)
+  std::size_t padded_chunk = 0;  // on-disk chunk stride and transfer length
   bool use_fixed = false;        // chunk transfers take the *_fixed path
   bool files_registered = false; // dev fds registered with the engine
-  // Data-symbol positions in data order: canonical ids from the layout,
-  // decomposed to (row, device) once so the hash fold below needs no layout.
-  std::vector<std::pair<std::size_t, std::size_t>> data_positions;
-  std::vector<std::uint64_t> stripe_hashes;  // disjoint per-stripe writes
-  std::vector<std::uint64_t>* sector_checksums = nullptr;  // encode fills these
-
-  void set_data_positions(const StairLayout& layout) {
-    data_positions.clear();
-    data_positions.reserve(layout.data_ids().size());
-    for (std::uint32_t id : layout.data_ids())
-      data_positions.emplace_back(layout.row_of(id), layout.col_of(id));
-  }
-
-  /// The stripe's data hash: its data sectors' hashes folded in data order.
-  /// `hash_of(row, device)` supplies each sector's hash (manifest/computed).
-  template <typename HashOf>
-  std::uint64_t stripe_data_hash(HashOf&& hash_of) const {
-    std::vector<std::uint64_t> hashes;
-    hashes.reserve(data_positions.size());
-    for (const auto& [row, dev] : data_positions) hashes.push_back(hash_of(row, dev));
-    return combine_hashes(hashes);
-  }
 
   std::mutex mu;
   std::condition_variable cv;
@@ -310,7 +367,7 @@ void IoPipeline::ensure_buffers(std::size_t bytes, std::size_t alignment,
       fixed_active_ = false;
     }
     // Old leases (held by warm slots) keep the old pool's backing store
-    // alive until prepare_slot swaps them for right-sized ones.
+    // alive until StripeSlot::prepare swaps them for right-sized ones.
     buffers_ = std::make_unique<IoBufferPool>(bytes, alignment, capacity);
   }
   if (options_.fixed_buffers && !fixed_active_) {
@@ -357,17 +414,6 @@ std::string errno_text(int err) {
 
 }  // namespace
 
-void IoPipeline::prepare_slot(Slot& slot, const StairCode& code, const Run& run,
-                              std::size_t devices) {
-  if (!slot.buf || slot.buf->symbol_size() != run.symbol_bytes)
-    slot.buf.emplace(code, run.symbol_bytes);
-  slot.data.resize(run.stripe_data);
-  slot.chunks.resize(devices);
-  for (auto& lease : slot.chunks)
-    if (!lease || lease->bytes < run.padded_chunk) lease = buffers_->acquire();
-  slot.results.resize(devices);
-}
-
 IoPipeline::Stats IoPipeline::encode_file(const std::string& input_path,
                                           const std::string& store_dir) {
   Stats st;
@@ -387,8 +433,6 @@ IoPipeline::Stats IoPipeline::encode_file(const std::string& input_path,
   Run run;
   run.symbol_bytes = options_.symbol_bytes;
   run.stripe_data = code.data_symbol_count() * run.symbol_bytes;
-  run.chunk_bytes = cfg.r * run.symbol_bytes;
-  run.set_data_positions(code.layout());
   const std::size_t stripes =
       file_size ? static_cast<std::size_t>((file_size + run.stripe_data - 1) / run.stripe_data)
                 : 0;
@@ -411,8 +455,6 @@ IoPipeline::Stats IoPipeline::encode_file(const std::string& input_path,
   store.stripes = stripes;
   store.sector_checksums.assign(stripes * cfg.n * cfg.r, 0);
   run.store = &store;
-  run.sector_checksums = &store.sector_checksums;
-  run.stripe_hashes.assign(stripes, 0);
   run.file_fd = in_fd;
   run.padded_chunk = store.padded_chunk_bytes();
   ensure_buffers(run.padded_chunk, std::max<std::size_t>(block, 64),
@@ -434,12 +476,13 @@ IoPipeline::Stats IoPipeline::encode_file(const std::string& input_path,
     for (std::size_t s = 0; s < stripes; ++s) {
       if (run.has_fatal()) break;
       SlotLease slot = acquire_slot(run);
-      prepare_slot(*slot, code, run, cfg.n);
+      slot->prepare(code, run.symbol_bytes, run.padded_chunk, *buffers_);
+      slot->data.resize(run.stripe_data);
       const std::size_t offset = s * run.stripe_data;
       const std::size_t len =
           std::min<std::size_t>(run.stripe_data, static_cast<std::size_t>(file_size) - offset);
       std::fill(slot->data.begin() + static_cast<std::ptrdiff_t>(len), slot->data.end(), 0);
-      Slot* raw = slot.get();
+      StripeSlot* raw = slot.get();
       // The continuation (1+ MB set_data + submit) is bounced onto the codec
       // pool: IO completion threads — the single uring reaper in particular —
       // must stay free to complete transfers, not process stripes.
@@ -465,7 +508,7 @@ IoPipeline::Stats IoPipeline::encode_file(const std::string& input_path,
     st.error = run.error;
   }
   if (st.error.empty()) {
-    store.data_checksum = combine_hashes(run.stripe_hashes);
+    store.data_checksum = store.fold_data_checksum(code.layout());
     try {
       store.save(store_dir);
       st.ok = true;
@@ -488,7 +531,7 @@ void IoPipeline::encode_on_input_read(Run& run, SlotLease slot, std::size_t stri
   }
   try {
     slot->buf->set_data(slot->data);
-    Slot* raw = slot.get();
+    StripeSlot* raw = slot.get();
     codec_.submit_encode(raw->buf->view(), options_.method,
                          [this, &run, slot = std::move(slot), stripe](bool ok) mutable {
                            encode_on_encoded(run, std::move(slot), stripe, ok);
@@ -508,30 +551,15 @@ void IoPipeline::encode_on_encoded(Run& run, SlotLease slot, std::size_t stripe,
   }
   try {
     const StairConfig& cfg = codec_.code().config();
-    Slot& sl = *slot;
-    // Gather each device's chunk (its r symbols, stripe-contiguous on disk)
-    // and fingerprint every sector; the manifest rows are disjoint per stripe.
-    for (std::size_t j = 0; j < cfg.n; ++j) {
-      IoBuffer& chunk = *sl.chunks[j];
-      for (std::size_t i = 0; i < cfg.r; ++i) {
-        const auto symbol = sl.buf->symbol(i, j);
-        std::memcpy(chunk.data + i * run.symbol_bytes, symbol.data(), run.symbol_bytes);
-        (*run.sector_checksums)[(stripe * cfg.n + j) * cfg.r + i] = content_hash64(symbol);
-      }
-      // Pad bytes are written (zeroed) rather than skipped: the whole padded
-      // row transfers in one aligned write, and the files stay identical
-      // whether or not O_DIRECT engaged.
-      if (run.padded_chunk > run.chunk_bytes)
-        std::memset(chunk.data + run.chunk_bytes, 0, run.padded_chunk - run.chunk_bytes);
-    }
-    // The stripe's data hash folds the data sectors' hashes just computed —
-    // no second pass over the bytes.
-    run.stripe_hashes[stripe] = run.stripe_data_hash([&](std::size_t row, std::size_t dev) {
-      return (*run.sector_checksums)[(stripe * cfg.n + dev) * cfg.r + row];
-    });
+    StripeSlot& sl = *slot;
+    // Stage each device's chunk and record its sector checksums; the
+    // manifest rows are disjoint per stripe.
+    for (std::size_t j = 0; j < cfg.n; ++j)
+      run.store->stage_chunk(sl.buf->view(), j, sl.chunks[j]->data,
+                             run.store->stripe_checksums(stripe).subspan(j * cfg.r, cfg.r));
     sl.pending.store(cfg.n, std::memory_order_relaxed);
     for (std::size_t j = 0; j < cfg.n; ++j) {
-      Slot* raw = slot.get();
+      StripeSlot* raw = slot.get();
       const IoBuffer& chunk = *raw->chunks[j];
       const std::span<const std::uint8_t> out(chunk.data, run.padded_chunk);
       auto done = [this, &run, slot](const io::Result& r) mutable {
@@ -579,10 +607,7 @@ IoPipeline::Stats IoPipeline::decode_file(const std::string& store_dir,
   run.store = &store;
   run.symbol_bytes = store.symbol_bytes;
   run.stripe_data = code.data_symbol_count() * store.symbol_bytes;
-  run.chunk_bytes = store.chunk_bytes();
   run.padded_chunk = store.padded_chunk_bytes();
-  run.set_data_positions(code.layout());
-  run.stripe_hashes.assign(store.stripes, 0);
   ensure_buffers(run.padded_chunk, std::max<std::size_t>(store.block_bytes, 64),
                  options_.queue_depth * store.cfg.n);
   run.use_fixed = fixed_active_;
@@ -616,10 +641,10 @@ IoPipeline::Stats IoPipeline::decode_file(const std::string& store_dir,
   for (std::size_t s = 0; s < store.stripes; ++s) {
     if (run.has_fatal()) break;
     SlotLease slot = acquire_slot(run);
-    prepare_slot(*slot, code, run, store.cfg.n);
-    std::fill(slot->results.begin(), slot->results.end(), io::Result{});
+    slot->prepare(code, run.symbol_bytes, run.padded_chunk, *buffers_);
+    slot->data.resize(run.stripe_data);
     slot->pending.store(store.cfg.n, std::memory_order_relaxed);
-    Slot* raw = slot.get();
+    StripeSlot* raw = slot.get();
     for (std::size_t j = 0; j < store.cfg.n; ++j) {
       if (run.dev_fds[j] < 0) {
         decode_on_chunk_read(run, slot, s, j, io::Result{ENOENT, 0});
@@ -662,7 +687,7 @@ IoPipeline::Stats IoPipeline::decode_file(const std::string& store_dir,
   if (st.error.empty()) {
     if (st.failed_stripes) {
       st.error = std::to_string(st.failed_stripes) + " stripe(s) unrecoverable";
-    } else if (combine_hashes(run.stripe_hashes) != store.data_checksum) {
+    } else if (store.fold_data_checksum(code.layout()) != store.data_checksum) {
       st.error = "reassembled data does not match the manifest checksum";
     } else {
       st.ok = true;
@@ -728,7 +753,6 @@ IoPipeline::Stats IoPipeline::read_range(const StripeStore& store,
   }
 
   const std::size_t symbol = store.symbol_bytes;
-  const std::size_t chunk_bytes = store.chunk_bytes();
   const std::size_t padded = store.padded_chunk_bytes();
   const std::size_t block = store.block_bytes;
   // Aligned mode: O_DIRECT chunk fds accept only block-aligned transfers,
@@ -741,13 +765,13 @@ IoPipeline::Stats IoPipeline::read_range(const StripeStore& store,
                  options_.queue_depth * store.cfg.n);
   const std::size_t stripe_data = code.data_symbol_count() * symbol;
   const StairLayout& layout = code.layout();
-  // (row, device) of each data symbol, in data order — the same order
+  // (row, device) of data symbol d, in data order — the same order
   // set_data/get_data use, so data index d of stripe k covers original-file
   // bytes [k * stripe_data + d * symbol, ... + symbol).
-  std::vector<std::pair<std::size_t, std::size_t>> pos;
-  pos.reserve(layout.data_ids().size());
-  for (std::uint32_t id : layout.data_ids())
-    pos.emplace_back(layout.row_of(id), layout.col_of(id));
+  auto pos = [&](std::size_t d) {
+    const std::uint32_t id = layout.data_ids()[d];
+    return std::pair{layout.row_of(id), layout.col_of(id)};
+  };
 
   // Devices are opened lazily: a short range touches few of them.
   std::vector<int> fds(store.cfg.n, -2);
@@ -784,7 +808,7 @@ IoPipeline::Stats IoPipeline::read_range(const StripeStore& store,
     {
       CompletionLatch latch(count);
       for (std::size_t k = 0; k < count; ++k) {
-        const auto [row, dev] = pos[d_lo + k];
+        const auto [row, dev] = pos(d_lo + k);
         const int fd = dev_fd(dev);
         if (fd < 0) {
           results[k] = io::Result{ENOENT, 0};
@@ -813,7 +837,7 @@ IoPipeline::Stats IoPipeline::read_range(const StripeStore& store,
     }
     bool clean = true;
     for (std::size_t k = 0; k < count; ++k) {
-      const auto [row, dev] = pos[d_lo + k];
+      const auto [row, dev] = pos(d_lo + k);
       st.bytes_read += results[k].bytes;
       const std::size_t expected = aligned ? windows[k].second : symbol;
       const bool got = results[k].ok() && results[k].bytes == expected;
@@ -821,9 +845,7 @@ IoPipeline::Stats IoPipeline::read_range(const StripeStore& store,
         std::memcpy(sectors.data() + k * symbol,
                     window_leases[k]->data + (row * symbol - windows[k].first), symbol);
       clean = clean && got &&
-              content_hash64(std::span<const std::uint8_t>(sectors.data() + k * symbol,
-                                                           symbol)) ==
-                  store.sector_checksum(s, dev, row);
+              store.sector_ok(s, dev, row, std::span(sectors.data() + k * symbol, symbol));
     }
     const std::size_t out_at = static_cast<std::size_t>(base + lo - offset);
     if (clean) {
@@ -859,29 +881,20 @@ IoPipeline::Stats IoPipeline::read_range(const StripeStore& store,
     }
     try {
       StripeBuffer buf(code, symbol);
-      std::vector<bool> mask(store.cfg.r * store.cfg.n, false);
+      std::vector<std::uint8_t> bad(store.cfg.r * store.cfg.n);
       for (std::size_t j = 0; j < store.cfg.n; ++j) {
         st.bytes_read += chunk_results[j].bytes;
-        if (!chunk_leases[j] || !chunk_results[j].ok() ||
-            chunk_results[j].bytes != padded) {
-          ++st.chunks_missing;
-          for (std::size_t i = 0; i < store.cfg.r; ++i) mask[i * store.cfg.n + j] = true;
-          continue;
-        }
-        for (std::size_t i = 0; i < store.cfg.r; ++i) {
-          auto dst = buf.symbol(i, j);
-          std::memcpy(dst.data(), chunk_leases[j]->data + i * symbol, symbol);
-          if (content_hash64(std::span<const std::uint8_t>(dst)) !=
-              store.sector_checksum(s, j, i)) {
-            ++st.sectors_corrupt;
-            mask[i * store.cfg.n + j] = true;
-          }
-        }
+        const auto verdict = store.verify_chunk(
+            s, j, chunk_results[j], chunk_leases[j] ? chunk_leases[j]->data : nullptr, bad, &buf);
+        st.chunks_missing += verdict.missing;
+        st.sectors_corrupt += verdict.corrupt;
       }
+      std::vector<bool> mask;
+      StripeStore::erasure_mask(bad, mask);
       std::vector<std::size_t> wanted;
       wanted.reserve(count);
       for (std::size_t k = 0; k < count; ++k) {
-        const auto [row, dev] = pos[d_lo + k];
+        const auto [row, dev] = pos(d_lo + k);
         wanted.push_back(layout.stored_index(row, dev));
       }
       auto slice = code.build_degraded_read_schedule(mask, wanted);
@@ -894,16 +907,15 @@ IoPipeline::Stats IoPipeline::read_range(const StripeStore& store,
       // The end-to-end guard: every wanted symbol — read or reconstructed —
       // must match its manifest checksum before its bytes are served.
       for (std::size_t k = 0; k < count && st.error.empty(); ++k) {
-        const auto [row, dev] = pos[d_lo + k];
-        if (content_hash64(std::span<const std::uint8_t>(buf.symbol(row, dev))) !=
-            store.sector_checksum(s, dev, row)) {
+        const auto [row, dev] = pos(d_lo + k);
+        if (!store.sector_ok(s, dev, row, buf.symbol(row, dev))) {
           ++st.failed_stripes;
           st.error = "stripe " + std::to_string(s) + " reconstruction failed verification";
         }
       }
       if (!st.error.empty()) break;
       for (std::size_t k = 0; k < count; ++k) {
-        const auto [row, dev] = pos[d_lo + k];
+        const auto [row, dev] = pos(d_lo + k);
         const std::size_t sym_lo = std::max(lo, (d_lo + k) * symbol);
         const std::size_t sym_hi = std::min(hi, (d_lo + k + 1) * symbol);
         std::memcpy(out.data() + (base + sym_lo - offset),
@@ -936,44 +948,22 @@ void IoPipeline::decode_on_chunk_read(Run& run, SlotLease slot, std::size_t stri
 
 void IoPipeline::decode_assemble(Run& run, SlotLease slot, std::size_t stripe) {
   try {
-    const StairConfig& cfg = run.store->cfg;
-    Slot& sl = *slot;
-    sl.mask.assign(cfg.r * cfg.n, false);
-    std::vector<bool>& mask = sl.mask;
-    bool degraded = false;
-    for (std::size_t j = 0; j < cfg.n; ++j) {
-      const io::Result& r = sl.results[j];
-      if (r.error != 0 || r.bytes != run.padded_chunk) {
-        // The transfer itself failed (missing device, EIO, short chunk):
-        // nothing in this chunk can be trusted — erase the whole column.
-        run.missing.fetch_add(1, std::memory_order_relaxed);
-        for (std::size_t i = 0; i < cfg.r; ++i) mask[i * cfg.n + j] = true;
-        degraded = true;
-        continue;
-      }
-      // The transfer succeeded: verify sector by sector, erasing exactly the
-      // sectors whose content lies (torn write, bit rot). This is what turns
-      // a scribbled-on chunk into a *sector* failure pattern for the code's
-      // e coverage instead of burning one of its m device credits.
-      for (std::size_t i = 0; i < cfg.r; ++i) {
-        std::memcpy(sl.buf->symbol(i, j).data(), sl.chunks[j]->data + i * run.symbol_bytes,
-                    run.symbol_bytes);
-        if (content_hash64(sl.buf->symbol(i, j)) != run.store->sector_checksum(stripe, j, i)) {
-          run.corrupt.fetch_add(1, std::memory_order_relaxed);
-          mask[i * cfg.n + j] = true;
-          degraded = true;
-        }
-      }
+    StripeSlot& sl = *slot;
+    for (std::size_t j = 0; j < run.store->cfg.n; ++j) {
+      const auto verdict = run.store->verify_chunk(stripe, j, sl.results[j],
+                                                   sl.chunks[j]->data, sl.sector_bad, &*sl.buf);
+      run.missing.fetch_add(verdict.missing, std::memory_order_relaxed);
+      run.corrupt.fetch_add(verdict.corrupt, std::memory_order_relaxed);
     }
-    if (!degraded) {
+    if (StripeStore::erasure_mask(sl.sector_bad, sl.mask) == 0) {
       decode_write_data(run, std::move(slot), stripe);
       return;
     }
     run.degraded.fetch_add(1, std::memory_order_relaxed);
-    Slot* raw = slot.get();
+    StripeSlot* raw = slot.get();
     // The degraded-read path: the mask resolves through the session's plan
     // cache, so every stripe of a failure epoch replays one compiled plan.
-    codec_.submit_decode(raw->buf->view(), mask,
+    codec_.submit_decode(raw->buf->view(), sl.mask,
                          [this, &run, slot = std::move(slot), stripe](bool ok) mutable {
                            if (!ok) {
                              // Outside the code's coverage: a failed stripe,
@@ -994,19 +984,24 @@ void IoPipeline::decode_assemble(Run& run, SlotLease slot, std::size_t stripe) {
 void IoPipeline::decode_write_data(Run& run, SlotLease slot, std::size_t stripe) {
   try {
     const StairConfig& cfg = run.store->cfg;
-    Slot& sl = *slot;
-    // Fold the stripe's data hash from sector hashes: verified sectors reuse
-    // the manifest value (verification just recomputed it), reconstructed
-    // sectors are hashed fresh — the end-to-end check covers decode output.
-    run.stripe_hashes[stripe] = run.stripe_data_hash([&](std::size_t row, std::size_t dev) {
-      return sl.mask[row * cfg.n + dev]
-                 ? content_hash64(sl.buf->symbol(row, dev))
-                 : run.store->sector_checksum(stripe, dev, row);
-    });
+    const StairLayout& layout = codec_.code().layout();
+    StripeSlot& sl = *slot;
+    // The end-to-end guard: a reconstructed data sector must match its
+    // manifest checksum (read sectors already did) before it is written.
+    for (std::uint32_t id : layout.data_ids()) {
+      const std::size_t row = layout.row_of(id), dev = layout.col_of(id);
+      if (sl.mask[row * cfg.n + dev] &&
+          !run.store->sector_ok(stripe, dev, row, sl.buf->symbol(row, dev))) {
+        run.failed.fetch_add(1, std::memory_order_relaxed);
+        slot.reset();
+        retire_slot(run);
+        return;
+      }
+    }
     sl.buf->get_data(sl.data);
     const std::size_t offset = stripe * run.stripe_data;
     const std::size_t len = std::min(run.stripe_data, run.store->file_size - offset);
-    Slot* raw = slot.get();
+    StripeSlot* raw = slot.get();
     engine_->write(run.file_fd, offset, std::span(raw->data.data(), len),
                    [this, &run, slot = std::move(slot), len](const io::Result& r) mutable {
                      run.bytes_written.fetch_add(r.bytes, std::memory_order_relaxed);

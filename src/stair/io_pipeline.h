@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -50,7 +51,8 @@
 namespace stair {
 
 /// Parses a comma-separated coverage vector ("1,2" -> {1, 2}) — the format
-/// both the manifest and file_codec's CLI use for `e`.
+/// both the manifest and file_codec's CLI use for `e`. A token that is not a
+/// plain decimal number ("2x", "1,,2", "1,") throws std::invalid_argument.
 std::vector<std::size_t> parse_coverage_list(const std::string& text);
 
 /// 64-bit content hash over a byte span — the sector checksum. A word-wise
@@ -70,6 +72,8 @@ std::uint64_t combine_hashes(std::span<const std::uint64_t> hashes);
 
 /// The on-disk stripe store: per-device chunk files plus the manifest that
 /// decode needs (config, geometry, per-sector checksums, whole-file check).
+/// It also owns the manifest's verify and commit rules: no other layer
+/// hashes a sector or indexes a checksum.
 struct StripeStore {
   StairConfig cfg;
   std::size_t symbol_bytes = 0;
@@ -101,10 +105,39 @@ struct StripeStore {
   std::uint64_t chunk_offset(std::size_t stripe) const {
     return std::uint64_t{stripe} * padded_chunk_bytes();
   }
-  std::uint64_t sector_checksum(std::size_t stripe, std::size_t device,
-                                std::size_t row) const {
-    return sector_checksums[(stripe * cfg.n + device) * cfg.r + row];
+  /// Stripe `stripe`'s n * r checksums; chunk j's r rows at [j * r, j * r + r).
+  std::span<std::uint64_t> stripe_checksums(std::size_t stripe) {
+    return std::span(sector_checksums).subspan(stripe * cfg.n * cfg.r, cfg.n * cfg.r);
   }
+
+  /// Does sector (row, device) of `stripe` hash to its manifest checksum?
+  bool sector_ok(std::size_t stripe, std::size_t device, std::size_t row,
+                 std::span<const std::uint8_t> bytes) const;
+
+  struct ChunkVerdict {
+    bool missing = false;     // failed or short transfer: a device erasure
+    std::size_t corrupt = 0;  // sector erasures: rows failing their checksum
+  };
+  /// Verifies chunk `device` of `stripe`, read into `staging` with outcome
+  /// `result`: a failed or short transfer marks all r rows bad, otherwise
+  /// each row gets its own verdict, at bad[row * n + device]. Bytes, not
+  /// vector<bool> bits, so concurrent verifiers of disjoint columns never
+  /// share a word. Good sectors are copied into `into` (if set) while warm.
+  ChunkVerdict verify_chunk(std::size_t stripe, std::size_t device,
+                            const io::Result& result, const std::uint8_t* staging,
+                            std::span<std::uint8_t> bad, StripeBuffer* into = nullptr) const;
+  /// Folds verdicts into a Codec::submit_decode mask; returns the erased count.
+  static std::size_t erasure_mask(std::span<const std::uint8_t> bad,
+                                  std::vector<bool>& mask);
+  /// Gathers device `device`'s r symbols into padded staging, zeroes the pad
+  /// tail, and writes their r checksums to `hashes` (none if it is empty).
+  void stage_chunk(const StripeView& view, std::size_t device, std::uint8_t* staging,
+                   std::span<std::uint64_t> hashes) const;
+
+  /// A stripe's data hash: its data sectors' checksums folded in data order.
+  std::uint64_t data_hash(std::size_t stripe, const StairLayout& layout) const;
+  /// Every stripe's data_hash folded in stripe order — what data_checksum holds.
+  std::uint64_t fold_data_checksum(const StairLayout& layout) const;
 
   static std::string device_path(const std::string& dir, std::size_t device);
   static std::string manifest_path(const std::string& dir);
@@ -114,11 +147,31 @@ struct StripeStore {
   /// manifest is the store's recovery point). Throws on IO failure.
   void save(const std::string& dir) const;
   /// Loads and validates manifest.txt. Every field is parse-checked and
-  /// bounds-checked before it is used to size or index sector_checksums: a
-  /// truncated, garbled, or adversarial manifest throws std::runtime_error
-  /// with a "manifest" message — never UB. (sector_checksum() itself stays
-  /// unchecked; a loaded store is guaranteed self-consistent.)
+  /// bounds-checked (file_size against what `stripes` stripes hold) before it
+  /// is used to size or index sector_checksums: a truncated, garbled, or
+  /// adversarial manifest throws std::runtime_error with a "manifest"
+  /// message — never UB. (The accessors above stay unchecked; a loaded
+  /// store is guaranteed self-consistent.)
   static StripeStore load(const std::string& dir);
+};
+
+/// One leased stripe slot of an async stripe walk (IoPipeline runs and
+/// Scrubber passes), reused warm through a WorkspacePool.
+struct StripeSlot {
+  std::optional<StripeBuffer> buf;
+  std::vector<std::uint8_t> data;  // flat stripe data staging (user file side)
+  // Aligned per-device chunk staging (O_DIRECT-safe, fixed-buffer capable).
+  std::vector<IoBufferPool::Lease> chunks;
+  std::vector<io::Result> results;      // per-chunk read outcome
+  std::vector<std::uint8_t> sector_bad;  // verify_chunk verdicts
+  std::vector<bool> mask;               // erased symbols
+  std::atomic<std::size_t> pending{0};  // countdown to stage change; publishes the above
+
+  /// Readies the slot for a stripe: rebuilds buf on a symbol-size change,
+  /// re-leases chunk staging only when missing or too small, clears results
+  /// and verdicts.
+  void prepare(const StairCode& code, std::size_t symbol_bytes, std::size_t padded_chunk,
+               IoBufferPool& pool);
 };
 
 class IoPipeline {
@@ -216,16 +269,13 @@ class IoPipeline {
   bool fixed_buffers_active() const { return fixed_active_; }
 
  private:
-  struct Slot;
   struct Run;
 
-  using SlotLease = WorkspacePool<Slot>::Lease;
+  using SlotLease = WorkspacePool<StripeSlot>::Lease;
 
   /// (Re)builds the aligned staging pool for the given chunk geometry and
   /// registers it with the engine when fixed_buffers is on.
   void ensure_buffers(std::size_t bytes, std::size_t alignment, std::size_t capacity);
-  void prepare_slot(Slot& slot, const StairCode& code, const Run& run,
-                    std::size_t devices);
   SlotLease acquire_slot(Run& run);
   void retire_slot(Run& run);
   void fatal(Run& run, std::string message);
@@ -244,7 +294,7 @@ class IoPipeline {
   Options options_;
   std::unique_ptr<io::Engine> owned_engine_;
   io::Engine* engine_;
-  WorkspacePool<Slot> slots_;
+  WorkspacePool<StripeSlot> slots_;
   std::unique_ptr<IoBufferPool> buffers_;  // chunk staging, see ensure_buffers
   bool fixed_active_ = false;  // staging pool currently registered with engine_
 };

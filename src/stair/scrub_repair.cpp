@@ -59,23 +59,6 @@ void ScrubReport::accumulate(const ScrubReport& p) {
   bytes_written += p.bytes_written;
 }
 
-/// One leased stripe slot: the StripeBuffer reconstruction happens in, plus
-/// aligned chunk staging leases for reads and whole-chunk repair writes.
-/// Reused warm — leases stick to the slot across stripes (prepare re-leases
-/// only on geometry change).
-struct Scrubber::Slot {
-  std::optional<StripeBuffer> buf;
-  std::vector<IoBufferPool::Lease> chunks;
-  std::vector<io::Result> results;
-  std::vector<bool> mask;
-  /// Per-sector verdicts written by verify_chunk, one byte per sector at
-  /// [i * n + j] (bytes, not vector<bool>: concurrent verifiers write
-  /// disjoint columns, which packed bits cannot do safely). Published to the
-  /// assembling thread by the `pending` acq_rel countdown.
-  std::vector<std::uint8_t> sector_bad;
-  std::atomic<std::size_t> pending{0};
-};
-
 /// Per-pass shared state; lives on the run_pass stack, drain() guarantees
 /// no callback outlives it (the IoPipeline::Run idiom).
 struct Scrubber::Pass {
@@ -85,7 +68,6 @@ struct Scrubber::Pass {
   bool repair = true;
   io::IoPhase read_phase = io::IoPhase::kScrub;
   std::size_t symbol_bytes = 0;
-  std::size_t chunk_bytes = 0;
   std::size_t padded_chunk = 0;  // on-disk stride/transfer length per chunk
   /// Open mode for chunk reads and the rebuild target (whole aligned
   /// transfers only). Sector-patch open_update fds stay buffered.
@@ -223,7 +205,6 @@ ScrubReport Scrubber::run_pass(const std::string& store_dir,
   pass.repair = rebuild ? true : options_.repair;
   pass.read_phase = rebuild ? io::IoPhase::kRebuild : io::IoPhase::kScrub;
   pass.symbol_bytes = store.symbol_bytes;
-  pass.chunk_bytes = store.chunk_bytes();
   pass.padded_chunk = store.padded_chunk_bytes();
   // Direct only engages on padded stores: a legacy (block 1) layout has no
   // alignment to offer, so it always reads buffered regardless of the knob.
@@ -306,19 +287,13 @@ void Scrubber::scan_stripe(Pass& pass, std::size_t stripe) {
     pass.cv.wait(lock, [&] { return pass.in_flight < options_.stripes_in_flight; });
     ++pass.in_flight;
   }
-  WorkspacePool<Slot>::Lease slot = slots_.acquire();
+  WorkspacePool<StripeSlot>::Lease slot = slots_.acquire();
   const StairConfig& cfg = pass.store->cfg;
-  if (!slot->buf || slot->buf->symbol_size() != pass.symbol_bytes)
-    slot->buf.emplace(codec_.code(), pass.symbol_bytes);
-  slot->chunks.resize(cfg.n);
-  for (auto& lease : slot->chunks)
-    if (!lease || lease->bytes < pass.padded_chunk) lease = buffers_->acquire();
-  slot->results.assign(cfg.n, io::Result{});
-  slot->sector_bad.assign(cfg.r * cfg.n, 0);
+  slot->prepare(codec_.code(), pass.symbol_bytes, pass.padded_chunk, *buffers_);
   slot->pending.store(cfg.n, std::memory_order_relaxed);
   pass.scanned.fetch_add(1, std::memory_order_relaxed);
 
-  Slot* raw = slot.get();
+  StripeSlot* raw = slot.get();
   io::PhaseScope phase(pass.read_phase);
   for (std::size_t j = 0; j < cfg.n; ++j) {
     auto complete = [this, &pass, slot, stripe, j](const io::Result& r) mutable {
@@ -339,61 +314,38 @@ void Scrubber::scan_stripe(Pass& pass, std::size_t stripe) {
   }
 }
 
-void Scrubber::verify_chunk(Pass& pass, WorkspacePool<Slot>::Lease slot,
+void Scrubber::verify_chunk(Pass& pass, WorkspacePool<StripeSlot>::Lease slot,
                             std::size_t stripe, std::size_t device) {
-  Slot& sl = *slot;
-  const StairConfig& cfg = pass.store->cfg;
-  const std::size_t j = device;
-  const bool is_target = pass.rebuild && *pass.rebuild == j;
-  const io::Result& r = sl.results[j];
-  if (!is_target && r.error == 0 && r.bytes == pass.padded_chunk) {
-    const std::uint8_t* data = sl.chunks[j]->data;
-    for (std::size_t i = 0; i < cfg.r; ++i) {
-      std::span<const std::uint8_t> sec(data + i * pass.symbol_bytes, pass.symbol_bytes);
-      const bool bad =
-          content_hash64(sec) != pass.store->sector_checksum(stripe, j, i);
-      sl.sector_bad[i * cfg.n + j] = bad ? 1 : 0;
-      // When decode cannot run zero-copy over the staging (odd symbol
-      // size), rebuild stages surviving sectors into the stripe buffer
-      // here, warm — every rebuild stripe decodes. Scrub passes defer the
-      // copy to assemble_stripe, paying it only on the rare damaged stripe.
-      if (pass.rebuild && !bad && pass.symbol_bytes % 64 != 0)
-        std::memcpy(sl.buf->symbol(i, j).data(), sec.data(), pass.symbol_bytes);
-    }
+  StripeSlot& sl = *slot;
+  const io::Result& r = sl.results[device];
+  // When decode cannot run zero-copy over the staging (odd symbol size),
+  // rebuild stages surviving sectors into the stripe buffer here, warm —
+  // every rebuild stripe decodes. Scrub passes defer the copy to
+  // assemble_stripe, paying it only on the rare damaged stripe.
+  StripeBuffer* into = pass.rebuild && pass.symbol_bytes % 64 != 0 ? &*sl.buf : nullptr;
+  const auto verdict = pass.store->verify_chunk(stripe, device, r, sl.chunks[device]->data,
+                                                sl.sector_bad, into);
+  // The rebuild target is never read: its erased column is the premise of
+  // the pass, not damage found.
+  if (!(pass.rebuild && *pass.rebuild == device)) {
+    pass.bytes_read.fetch_add(r.bytes, std::memory_order_relaxed);
+    pass.missing.fetch_add(verdict.missing, std::memory_order_relaxed);
+    pass.corrupt.fetch_add(verdict.corrupt, std::memory_order_relaxed);
   }
   if (sl.pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
     assemble_stripe(pass, std::move(slot), stripe);
 }
 
-void Scrubber::assemble_stripe(Pass& pass, WorkspacePool<Slot>::Lease slot,
+void Scrubber::assemble_stripe(Pass& pass, WorkspacePool<StripeSlot>::Lease slot,
                                std::size_t stripe) {
   try {
     const StairConfig& cfg = pass.store->cfg;
-    Slot& sl = *slot;
-    sl.mask.assign(cfg.r * cfg.n, false);
-    bool damage = false;  // damage beyond the rebuild premise
-    for (std::size_t j = 0; j < cfg.n; ++j) {
-      const bool is_target = pass.rebuild && *pass.rebuild == j;
-      const io::Result& r = sl.results[j];
-      if (!is_target) pass.bytes_read.fetch_add(r.bytes, std::memory_order_relaxed);
-      if (is_target || r.error != 0 || r.bytes != pass.padded_chunk) {
-        for (std::size_t i = 0; i < cfg.r; ++i) sl.mask[i * cfg.n + j] = true;
-        if (!is_target) {
-          pass.missing.fetch_add(1, std::memory_order_relaxed);
-          damage = true;
-        }
-        continue;
-      }
-      for (std::size_t i = 0; i < cfg.r; ++i) {
-        if (sl.sector_bad[i * cfg.n + j]) {
-          pass.corrupt.fetch_add(1, std::memory_order_relaxed);
-          sl.mask[i * cfg.n + j] = true;
-          damage = true;
-        }
-      }
-    }
+    StripeSlot& sl = *slot;
+    const std::size_t erased = StripeStore::erasure_mask(sl.sector_bad, sl.mask);
+    // Damage beyond the rebuild premise (the target's r erased rows).
+    const bool damage = erased > (pass.rebuild ? cfg.r : 0);
     if (damage) pass.degraded.fetch_add(1, std::memory_order_relaxed);
-    const bool masked = damage || pass.rebuild.has_value();
+    const bool masked = erased > 0;
     if (!masked || !pass.repair) {
       if (masked && !pass.repair) {
         // Detect-only scrub still reports coverage misses.
@@ -412,10 +364,7 @@ void Scrubber::assemble_stripe(Pass& pass, WorkspacePool<Slot>::Lease slot,
     // staging copy instead.
     StripeView view = sl.buf->view();
     const bool zero_copy = pass.symbol_bytes % 64 == 0;
-    for (std::size_t j = 0; j < cfg.n; ++j) {
-      const io::Result& r = sl.results[j];
-      if (r.error != 0 || r.bytes != pass.padded_chunk) continue;
-      if (pass.rebuild && *pass.rebuild == j) continue;
+    for (std::size_t j = 0; j < cfg.n; ++j)
       for (std::size_t i = 0; i < cfg.r; ++i) {
         if (sl.mask[i * cfg.n + j]) continue;
         if (zero_copy)
@@ -425,7 +374,6 @@ void Scrubber::assemble_stripe(Pass& pass, WorkspacePool<Slot>::Lease slot,
           std::memcpy(sl.buf->symbol(i, j).data(),
                       sl.chunks[j]->data + i * pass.symbol_bytes, pass.symbol_bytes);
       }
-    }
     own_jobs_.fetch_add(1, std::memory_order_relaxed);
     // The degraded read resolves through the session plan cache: a rebuild
     // (or a recurring corruption shape) pays one inversion for the epoch.
@@ -448,19 +396,18 @@ void Scrubber::assemble_stripe(Pass& pass, WorkspacePool<Slot>::Lease slot,
   }
 }
 
-void Scrubber::repair_stripe(Pass& pass, WorkspacePool<Slot>::Lease slot,
+void Scrubber::repair_stripe(Pass& pass, WorkspacePool<StripeSlot>::Lease slot,
                              std::size_t stripe) {
   try {
     const StairConfig& cfg = pass.store->cfg;
-    Slot& sl = *slot;
+    StripeSlot& sl = *slot;
     // Re-verify before rewrite: every reconstructed sector must match its
     // manifest checksum, or the repair writes nothing — a scrubber must
     // never "repair" a store with bytes it cannot prove.
     for (std::size_t j = 0; j < cfg.n; ++j)
       for (std::size_t i = 0; i < cfg.r; ++i)
         if (sl.mask[i * cfg.n + j] &&
-            content_hash64(sl.buf->symbol(i, j)) !=
-                pass.store->sector_checksum(stripe, j, i)) {
+            !pass.store->sector_ok(stripe, j, i, sl.buf->symbol(i, j))) {
           pass.repair_failed.fetch_add(1, std::memory_order_relaxed);
           slot.reset();
           pass.retire();
@@ -497,12 +444,7 @@ void Scrubber::repair_stripe(Pass& pass, WorkspacePool<Slot>::Lease slot,
         // tail zeroed — the store is byte-identical across modes), which is
         // also what keeps the rebuild target's O_DIRECT fd happy.
         IoBuffer& chunk = *sl.chunks[j];
-        for (std::size_t i = 0; i < cfg.r; ++i)
-          std::memcpy(chunk.data + i * pass.symbol_bytes, sl.buf->symbol(i, j).data(),
-                      pass.symbol_bytes);
-        if (pass.padded_chunk > pass.chunk_bytes)
-          std::memset(chunk.data + pass.chunk_bytes, 0,
-                      pass.padded_chunk - pass.chunk_bytes);
+        pass.store->stage_chunk(sl.buf->view(), j, chunk.data, {});
         writes.push_back({fd, pass.store->chunk_offset(stripe),
                           std::span<const std::uint8_t>(chunk.data, pass.padded_chunk),
                           cfg.r});

@@ -192,7 +192,6 @@ class Scrubber {
   std::size_t slots_created() const { return slots_.created(); }
 
  private:
-  struct Slot;
   struct Pass;
 
   ScrubReport run_pass(const std::string& store_dir,
@@ -204,17 +203,17 @@ class Scrubber {
   /// whole-stripe verify task after all n reads re-touches ~n chunks cold;
   /// at depth > 1 those re-touches thrash and rebuild throughput *drops* as
   /// stripes_in_flight rises. Per-chunk verify is the fix.)
-  void verify_chunk(Pass& pass, WorkspacePool<Slot>::Lease slot,
+  void verify_chunk(Pass& pass, WorkspacePool<StripeSlot>::Lease slot,
                     std::size_t stripe, std::size_t device);
-  void assemble_stripe(Pass& pass, WorkspacePool<Slot>::Lease slot, std::size_t stripe);
-  void repair_stripe(Pass& pass, WorkspacePool<Slot>::Lease slot, std::size_t stripe);
+  void assemble_stripe(Pass& pass, WorkspacePool<StripeSlot>::Lease slot, std::size_t stripe);
+  void repair_stripe(Pass& pass, WorkspacePool<StripeSlot>::Lease slot, std::size_t stripe);
   void pace(Pass& pass, std::size_t bytes);
 
   Codec& codec_;
   ScrubOptions options_;
   std::unique_ptr<io::Engine> owned_engine_;
   io::Engine* engine_;
-  WorkspacePool<Slot> slots_;
+  WorkspacePool<StripeSlot> slots_;
   /// Aligned chunk staging (sized per pass). Deliberately NOT registered
   /// with the engine: the engine holds one registered set and it belongs to
   /// the foreground pipeline; scrub is a guest and takes plain transfers on

@@ -141,16 +141,11 @@ void StorageNode::start() {
   }
   stripe_data_ = codec_.code().data_symbol_count() * store_.symbol_bytes;
 
-  const StairLayout& layout = codec_.code().layout();
-  data_positions_.clear();
-  data_positions_.reserve(layout.data_ids().size());
-  for (std::uint32_t id : layout.data_ids())
-    data_positions_.emplace_back(layout.row_of(id), layout.col_of(id));
-
   // Per-stripe data-hash folds, maintained incrementally by the write path so
   // flush_manifest never re-reads content bytes.
   stripe_hashes_.assign(store_.stripes, 0);
-  for (std::size_t s = 0; s < store_.stripes; ++s) stripe_hashes_[s] = stripe_hash(s);
+  for (std::size_t s = 0; s < store_.stripes; ++s)
+    stripe_hashes_[s] = store_.data_hash(s, codec_.code().layout());
 
   if (options_.io.engine) {
     engine_ = options_.io.engine;
@@ -524,11 +519,9 @@ void StorageNode::serve_write(std::size_t worker, const StatePtr& state) {
 
   std::vector<std::uint64_t> new_checksums;
   if (ok) {
-    // Gather each device's chunk into aligned staging, hash its sectors, and
-    // rewrite all n chunks in place through the long-lived fds.
+    // Stage each device's chunk with its sector checksums, and rewrite all n
+    // chunks in place through the long-lived fds.
     new_checksums.assign(cfg.n * cfg.r, 0);
-    const std::size_t padded = store_.padded_chunk_bytes();
-    const StripeView& view = slot.stripe->view();
 
     std::mutex io_mu;
     std::condition_variable io_cv;
@@ -538,16 +531,10 @@ void StorageNode::serve_write(std::size_t worker, const StatePtr& state) {
     std::vector<IoBufferPool::Lease> chunks(cfg.n);
     for (std::size_t j = 0; j < cfg.n; ++j) {
       chunks[j] = write_staging_->acquire();
-      IoBuffer& chunk = *chunks[j];
-      for (std::size_t i = 0; i < cfg.r; ++i) {
-        std::span<const std::uint8_t> sym = view.stored[i * cfg.n + j];
-        std::memcpy(chunk.data + i * store_.symbol_bytes, sym.data(), sym.size());
-        new_checksums[j * cfg.r + i] = content_hash64(sym);
-      }
-      if (padded > store_.chunk_bytes())
-        std::memset(chunk.data + store_.chunk_bytes(), 0, padded - store_.chunk_bytes());
+      store_.stage_chunk(slot.stripe->view(), j, chunks[j]->data,
+                         std::span(new_checksums).subspan(j * cfg.r, cfg.r));
       engine_->write(dev_fds_[j], store_.chunk_offset(req.stripe),
-                     std::span<const std::uint8_t>(chunk.data, padded),
+                     std::span<const std::uint8_t>(chunks[j]->data, store_.padded_chunk_bytes()),
                      [&](const io::Result& r) {
                        std::lock_guard<std::mutex> lock(io_mu);
                        if (!r.ok() && io_error == 0) io_error = r.error;
@@ -569,11 +556,9 @@ void StorageNode::serve_write(std::size_t worker, const StatePtr& state) {
     // whole-file fold — then the manifest on disk, so the recovery point
     // trails each write by at most one save.
     std::lock_guard<std::mutex> lock(manifest_mu_);
-    for (std::size_t j = 0; j < cfg.n; ++j)
-      for (std::size_t i = 0; i < cfg.r; ++i)
-        store_.sector_checksums[(req.stripe * cfg.n + j) * cfg.r + i] =
-            new_checksums[j * cfg.r + i];
-    stripe_hashes_[req.stripe] = stripe_hash(req.stripe);
+    std::copy(new_checksums.begin(), new_checksums.end(),
+              store_.stripe_checksums(req.stripe).begin());
+    stripe_hashes_[req.stripe] = store_.data_hash(req.stripe, codec_.code().layout());
     store_.data_checksum = combine_hashes(stripe_hashes_);
     try {
       store_.save(store_dir_);
@@ -591,14 +576,6 @@ void StorageNode::serve_write(std::size_t worker, const StatePtr& state) {
   resp.error = std::move(error);
   resp.bytes = ok ? req.data.size() : 0;
   complete(state, std::move(resp));
-}
-
-std::uint64_t StorageNode::stripe_hash(std::size_t stripe) const {
-  std::vector<std::uint64_t> hashes;
-  hashes.reserve(data_positions_.size());
-  for (const auto& [row, dev] : data_positions_)
-    hashes.push_back(store_.sector_checksums[(stripe * store_.cfg.n + dev) * store_.cfg.r + row]);
-  return combine_hashes(hashes);
 }
 
 void StorageNode::flush_manifest() {

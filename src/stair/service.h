@@ -242,9 +242,6 @@ class StorageNode {
   void serve_reads(std::size_t worker, std::vector<StatePtr>& batch);
   void serve_write(std::size_t worker, const StatePtr& state);
   void complete(const StatePtr& state, Response response);
-  /// This stripe's data fold from the manifest's sector checksums (caller
-  /// holds manifest_mu_ once serving).
-  std::uint64_t stripe_hash(std::size_t stripe) const;
   void flush_manifest();
   bool foreground_pressure() const;
 
@@ -268,9 +265,6 @@ class StorageNode {
   std::vector<std::uint64_t> stripe_hashes_;
   bool manifest_dirty_ = false;
   std::size_t stripe_data_ = 0;
-  /// (row, device) of each data symbol in data order — the manifest fold
-  /// and write-path scatter both need it.
-  std::vector<std::pair<std::size_t, std::size_t>> data_positions_;
 
   /// Per-stripe shared/exclusive occupancy: readers hold their stripe span,
   /// a writer holds its stripe, so a write cannot tear bytes out from under

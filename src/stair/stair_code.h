@@ -41,8 +41,7 @@ enum class EncodingMethod { kStandard, kUpstairs, kDownstairs, kAuto };
 
 /// How an operation's region work is executed — the one knob the unified
 /// execution layer takes. Every encode/decode/execute/update entry point is
-/// one implementation parameterized by this; the `*_parallel` names are thin
-/// wrappers that pass sliced(threads).
+/// one implementation parameterized by this.
 ///
 ///   serial()   — all region work on the calling thread (the default);
 ///   sliced(t)  — region work cut into cache-aware byte slices claimed by up
@@ -150,14 +149,6 @@ class StairCode {
   void encode(const StripeView& stripe, EncodingMethod method = EncodingMethod::kAuto,
               Workspace* ws = nullptr, ExecPolicy policy = ExecPolicy::serial()) const;
 
-  /// encode() on up to `threads` pool participants (0 = pool width). Thin
-  /// wrapper over encode() with ExecPolicy::sliced.
-  void encode_parallel(const StripeView& stripe, std::size_t threads,
-                       EncodingMethod method = EncodingMethod::kAuto,
-                       Workspace* ws = nullptr) const {
-    encode(stripe, method, ws, ExecPolicy::sliced(threads));
-  }
-
   // --- decoding -------------------------------------------------------------
 
   /// Fast pattern check: is this set of lost stored symbols within the
@@ -179,14 +170,6 @@ class StairCode {
   bool decode(const StripeView& stripe, const std::vector<bool>& erased,
               Workspace* ws = nullptr, DecodePlanCache* cache = nullptr,
               ExecPolicy policy = ExecPolicy::serial()) const;
-
-  /// decode() with the region work spread over `threads` pool participants
-  /// (0 = the default pool's full width). Thin wrapper over decode().
-  bool decode_parallel(const StripeView& stripe, const std::vector<bool>& erased,
-                       std::size_t threads, Workspace* ws = nullptr,
-                       DecodePlanCache* cache = nullptr) const {
-    return decode(stripe, erased, ws, cache, ExecPolicy::sliced(threads));
-  }
 
   /// Degraded read: the minimal schedule recovering only the stored symbols
   /// listed in `wanted` (stored indices, row * n + col) under the erasure
@@ -225,16 +208,6 @@ class StairCode {
   /// outside a call, and the workspace scratch stays altmap forever.
   void execute(const CompiledSchedule& schedule, const StripeView& stripe,
                Workspace* ws = nullptr, ExecPolicy policy = ExecPolicy::serial()) const;
-
-  /// Thin wrappers over execute() with ExecPolicy::sliced(threads).
-  void execute_parallel(const Schedule& schedule, const StripeView& stripe,
-                        std::size_t threads, Workspace* ws = nullptr) const {
-    execute(schedule, stripe, ws, ExecPolicy::sliced(threads));
-  }
-  void execute_parallel(const CompiledSchedule& schedule, const StripeView& stripe,
-                        std::size_t threads, Workspace* ws = nullptr) const {
-    execute(schedule, stripe, ws, ExecPolicy::sliced(threads));
-  }
 
  private:
   friend class Codec;  // the session layer drives prepare_workspace +

@@ -40,13 +40,6 @@ class UpdateEngine {
               std::span<const std::uint8_t> new_content,
               ExecPolicy policy = ExecPolicy::serial()) const;
 
-  /// Thin wrapper over update() with ExecPolicy::sliced(threads).
-  void update_parallel(const StripeView& stripe, std::size_t data_index,
-                       std::span<const std::uint8_t> new_content,
-                       std::size_t threads = 0) const {
-    update(stripe, data_index, new_content, ExecPolicy::sliced(threads));
-  }
-
   /// The per-range body every update path replays (also the building block
   /// Codec's pipelined submit_update slices over): computes
   /// delta[off, off+len) = old ^ new into `delta_scratch` (a caller-owned

@@ -78,6 +78,34 @@ TEST(ClusterSimAgreement, StairE12WithinBand) {
       "e={1,2}");
 }
 
+// With latent sector errors off, the only loss is a second device failing
+// mid-rebuild: every loss must be a device overflow, the count must sit in
+// the renewal band, and the simulated MTTDL must land on the classic Markov
+// double-failure MTTDL (Eq. 10 with p_arr = 0). Rebuilds are short next to
+// the MTTF, where deterministic and exponential repair agree to ~1 %.
+TEST(ClusterSimAgreement, DeviceOnlyLossesMatchMarkovWithoutSectorErrors) {
+  auto cfg = agreement_config({.n = 8, .r = 4, .m = 1, .e = {1}, .w = 8}, 0.0, 5);
+  cfg.repair_mbps_per_array = cfg.device_bytes / (2.0 * 3600.0 * 1024.0 * 1024.0);  // 2 h
+  const auto query = ClusterSim(cfg).prediction_query();
+  const auto prediction = reliability::predict_reliability(query);
+  ASSERT_EQ(prediction.p_arr, 0.0);
+  ASSERT_TRUE(std::isfinite(prediction.mttdl_renewal_hours));
+  cfg.sim_hours = 400.0 * prediction.mttdl_renewal_hours / static_cast<double>(cfg.arrays);
+
+  const auto report = ClusterSim(cfg).run();
+  ASSERT_GT(report.loss_events, 0u);
+  EXPECT_EQ(report.sector_losses, 0u);
+  EXPECT_EQ(report.device_overflow_losses, report.loss_events);
+  EXPECT_TRUE(report.within_band)
+      << "observed " << report.loss_events << " losses vs band [" << report.band.lo << ", "
+      << report.band.hi << "]";
+  const double markov = reliability::mttdl_array(query.system, 0.0);
+  EXPECT_NEAR(prediction.mttdl_hours / markov, 1.0, 1e-9);
+  const double simulated = static_cast<double>(cfg.arrays) * cfg.sim_hours /
+                           static_cast<double>(report.loss_events);
+  EXPECT_NEAR(simulated / markov, 1.0, 0.15);
+}
+
 TEST(ClusterSimAgreement, PredictionQueryInvertsStripeGeometry) {
   const auto cfg = agreement_config({.n = 4, .r = 4, .m = 1, .e = {1}, .w = 8}, 0.01, 1);
   const auto q = ClusterSim(cfg).prediction_query();

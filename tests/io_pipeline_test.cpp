@@ -598,6 +598,142 @@ TEST(ManifestHardening, GarbledChecksumTokenRejected) {
   EXPECT_EQ(st.manifest_errors, 1u);
 }
 
+// A file_size claiming more data than the declared stripes hold would send
+// a ranged read past the last stripe's checksums; the loader must refuse it.
+TEST(ManifestHardening, FileSizeBeyondStripesRejected) {
+  const StoreCase c = fault_cases()[0];
+  TempDir dir("mfsize");
+  const std::size_t stripe_data = Codec(c.cfg).code().data_symbol_count() * c.symbol;
+  encode_store(dir, c, stripe_data / 2, 35);  // one stripe
+  ASSERT_EQ(StripeStore::load((dir.path / "store").string()).stripes, 1u);
+
+  patch_manifest(dir, "file_size " + std::to_string(stripe_data / 2),
+                 "file_size " + std::to_string(3 * stripe_data));
+  const auto st = decode_store(dir, c);
+  EXPECT_FALSE(st.ok);
+  EXPECT_NE(st.error.find("manifest"), std::string::npos) << st.error;
+  EXPECT_EQ(st.manifest_errors, 1u);
+
+  Codec codec(c.cfg);
+  IoPipeline pipeline(codec, {.symbol_bytes = c.symbol});
+  std::vector<std::uint8_t> out(c.symbol);
+  const auto rr =
+      pipeline.read_range((dir.path / "store").string(), 2 * stripe_data, out);
+  EXPECT_FALSE(rr.ok);
+  EXPECT_EQ(rr.manifest_errors, 1u);
+}
+
+// A coverage token with trailing garbage must not load as its numeric
+// prefix ("2x" as 2): the store would open under a different code.
+TEST(ManifestHardening, CoverageTokenWithGarbageRejected) {
+  const StoreCase c = fault_cases()[0];
+  TempDir dir("mcover");
+  encode_store(dir, c, 24 * 1000, 36);
+
+  patch_manifest(dir, "\ne 1,2\n", "\ne 1,2x\n");
+  const auto st = decode_store(dir, c);
+  EXPECT_FALSE(st.ok);
+  EXPECT_NE(st.error.find("manifest"), std::string::npos) << st.error;
+  EXPECT_EQ(st.manifest_errors, 1u);
+}
+
+TEST(ManifestHardening, CoverageListParseIsStrict) {
+  EXPECT_EQ(parse_coverage_list("1,2"), (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(parse_coverage_list("12"), (std::vector<std::size_t>{12}));
+  for (const char* bad : {"1,2x", "1,,2", "1,", ",1", "", "x", "-1", " 1", "1 ",
+                          "99999999999999999999999"})
+    EXPECT_THROW(parse_coverage_list(bad), std::invalid_argument) << "'" << bad << "'";
+}
+
+// --- StripeStore verify / stage primitives -----------------------------------
+
+// One in-memory stripe of a padded (block 4096) store, staged chunk by chunk
+// through stage_chunk so the manifest holds exactly the staged checksums.
+struct StagedStripe {
+  StripeStore store;
+  StairCode code;
+  StripeBuffer buf;
+  std::vector<std::vector<std::uint8_t>> staging;  // one padded chunk per device
+
+  explicit StagedStripe(const StoreCase& c)
+      : code(c.cfg), buf(code, c.symbol) {
+    store.cfg = c.cfg;
+    store.symbol_bytes = c.symbol;
+    store.block_bytes = 4096;
+    store.stripes = 1;
+    store.sector_checksums.assign(c.cfg.n * c.cfg.r, 0);
+    Rng rng(37);
+    for (std::size_t i = 0; i < c.cfg.r; ++i)
+      for (std::size_t j = 0; j < c.cfg.n; ++j) rng.fill(buf.symbol(i, j));
+    for (std::size_t j = 0; j < c.cfg.n; ++j) {
+      staging.emplace_back(store.padded_chunk_bytes(), 0xEE);  // dirty pad
+      store.stage_chunk(buf.view(), j, staging[j].data(),
+                        store.stripe_checksums(0).subspan(j * c.cfg.r, c.cfg.r));
+    }
+  }
+  io::Result whole() const { return {0, store.padded_chunk_bytes()}; }
+};
+
+TEST(StripeStorePrimitives, StagePadsWithZerosAndVerifyAcceptsItsHashes) {
+  const StoreCase c = fault_cases()[0];
+  StagedStripe s(c);
+  ASSERT_GT(s.store.padded_chunk_bytes(), s.store.chunk_bytes());
+  StripeBuffer into(s.code, c.symbol);
+  std::vector<std::uint8_t> bad(c.cfg.r * c.cfg.n, 1);
+  for (std::size_t j = 0; j < c.cfg.n; ++j) {
+    const auto& chunk = s.staging[j];
+    EXPECT_TRUE(std::all_of(chunk.begin() + static_cast<std::ptrdiff_t>(s.store.chunk_bytes()),
+                            chunk.end(), [](std::uint8_t b) { return b == 0; }))
+        << "pad tail of chunk " << j;
+    const auto v = s.store.verify_chunk(0, j, s.whole(), chunk.data(), bad, &into);
+    EXPECT_FALSE(v.missing);
+    EXPECT_EQ(v.corrupt, 0u);
+    for (std::size_t i = 0; i < c.cfg.r; ++i) {
+      EXPECT_TRUE(std::equal(into.symbol(i, j).begin(), into.symbol(i, j).end(),
+                             s.buf.symbol(i, j).begin()))
+          << "good sector (" << i << ", " << j << ") not copied out";
+      EXPECT_TRUE(s.store.sector_ok(0, j, i, s.buf.symbol(i, j)));
+    }
+  }
+  std::vector<bool> mask;
+  EXPECT_EQ(StripeStore::erasure_mask(bad, mask), 0u);
+  EXPECT_EQ(mask, std::vector<bool>(c.cfg.r * c.cfg.n, false));
+}
+
+TEST(StripeStorePrimitives, FailedOrShortTransferErasesTheWholeColumn) {
+  const StoreCase c = fault_cases()[0];
+  StagedStripe s(c);
+  const std::size_t dev = 2;
+  const io::Result failures[] = {{ENOENT, 0}, {0, s.store.padded_chunk_bytes() - 1}};
+  for (const io::Result& r : failures) {
+    std::vector<std::uint8_t> bad(c.cfg.r * c.cfg.n, 0);
+    const auto v = s.store.verify_chunk(0, dev, r, s.staging[dev].data(), bad);
+    EXPECT_TRUE(v.missing) << "error " << r.error << " bytes " << r.bytes;
+    EXPECT_EQ(v.corrupt, 0u);
+    std::vector<bool> mask;
+    EXPECT_EQ(StripeStore::erasure_mask(bad, mask), c.cfg.r);
+    for (std::size_t i = 0; i < c.cfg.r; ++i)
+      for (std::size_t j = 0; j < c.cfg.n; ++j)
+        EXPECT_EQ(mask[i * c.cfg.n + j], j == dev) << "(" << i << ", " << j << ")";
+  }
+}
+
+TEST(StripeStorePrimitives, FlippedByteErasesExactlyItsRow) {
+  const StoreCase c = fault_cases()[0];
+  StagedStripe s(c);
+  const std::size_t dev = 1, row = 2;
+  s.staging[dev][row * c.symbol + 17] ^= 0x01;
+  std::vector<std::uint8_t> bad(c.cfg.r * c.cfg.n, 0);
+  for (std::size_t j = 0; j < c.cfg.n; ++j) {
+    const auto v = s.store.verify_chunk(0, j, s.whole(), s.staging[j].data(), bad);
+    EXPECT_FALSE(v.missing);
+    EXPECT_EQ(v.corrupt, j == dev ? 1u : 0u) << "device " << j;
+  }
+  std::vector<bool> mask;
+  EXPECT_EQ(StripeStore::erasure_mask(bad, mask), 1u);
+  EXPECT_TRUE(mask[row * c.cfg.n + dev]);
+}
+
 // --- ranged reads -----------------------------------------------------------
 
 // read_range serves exact byte windows, sector-granular: offsets that are

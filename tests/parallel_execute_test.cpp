@@ -1,6 +1,6 @@
-// Parallel-equivalence battery: execute_parallel / encode_parallel /
-// decode_parallel through the persistent pool must be byte-identical to the
-// serial paths for every thread count, including thread counts above the
+// Parallel-equivalence battery: execute / encode / decode / update with
+// ExecPolicy::sliced(t) through the persistent pool must be byte-identical to
+// the serial paths for every thread count, including thread counts above the
 // hardware width, odd symbol sizes, and symbols smaller than the thread
 // count. Also runs under the ThreadSanitizer CI job.
 
@@ -96,12 +96,12 @@ TEST(ParallelExecute, WideWidthEncodeDecodeMatchesSerial) {
         StripeBuffer parallel(code, symbol);
         parallel.set_data(data);
         Workspace ws;
-        code.encode_parallel(parallel.view(), threads, EncodingMethod::kAuto, &ws);
+        code.encode(parallel.view(), EncodingMethod::kAuto, &ws, ExecPolicy::sliced(threads));
         ASSERT_EQ(all_bytes(parallel.view()), expected)
             << "encode w=" << w << " symbol=" << symbol << " threads=" << threads;
 
         scramble(code, parallel, mask, 99 + threads);
-        ASSERT_TRUE(code.decode_parallel(parallel.view(), mask, threads, &ws));
+        ASSERT_TRUE(code.decode(parallel.view(), mask, &ws, nullptr, ExecPolicy::sliced(threads)));
         ASSERT_EQ(all_bytes(parallel.view()), expected)
             << "decode w=" << w << " symbol=" << symbol << " threads=" << threads;
       }
@@ -125,7 +125,7 @@ TEST(ParallelExecute, EncodeMatchesSerialAcrossMatrix) {
         StripeBuffer parallel(code, symbol);
         parallel.set_data(data);
         Workspace ws;
-        code.encode_parallel(parallel.view(), threads, EncodingMethod::kAuto, &ws);
+        code.encode(parallel.view(), EncodingMethod::kAuto, &ws, ExecPolicy::sliced(threads));
         ASSERT_EQ(all_bytes(parallel.view()), expected)
             << c.cfg.to_string() << " symbol=" << symbol << " threads=" << threads;
       }
@@ -152,8 +152,8 @@ TEST(ParallelExecute, BothScheduleOverloadsMatchSerial) {
     StripeBuffer via_schedule(code, symbol), via_compiled(code, symbol);
     via_schedule.set_data(data);
     via_compiled.set_data(data);
-    code.execute_parallel(sched, via_schedule.view(), threads);
-    code.execute_parallel(compiled, via_compiled.view(), threads);
+    code.execute(sched, via_schedule.view(), nullptr, ExecPolicy::sliced(threads));
+    code.execute(compiled, via_compiled.view(), nullptr, ExecPolicy::sliced(threads));
     ASSERT_EQ(all_bytes(via_schedule.view()), expected) << "Schedule overload t=" << threads;
     ASSERT_EQ(all_bytes(via_compiled.view()), expected) << "Compiled overload t=" << threads;
   }
@@ -179,7 +179,7 @@ TEST(ParallelExecute, DecodeParallelRecoversAcrossMatrix) {
       code.encode(stripe.view());
       scramble(code, stripe, mask, 88 + threads);
       Workspace ws;
-      ASSERT_TRUE(code.decode_parallel(stripe.view(), mask, threads, &ws))
+      ASSERT_TRUE(code.decode(stripe.view(), mask, &ws, nullptr, ExecPolicy::sliced(threads)))
           << c.cfg.to_string() << " threads=" << threads;
       std::vector<std::uint8_t> out(stripe.data_size());
       stripe.get_data(out);
@@ -207,7 +207,7 @@ TEST(ParallelExecute, DecodeParallelThroughCacheMatchesSerial) {
     stripe.set_data(data);
     code.encode(stripe.view());
     scramble(code, stripe, mask, 100 + threads);
-    ASSERT_TRUE(code.decode_parallel(stripe.view(), mask, threads, nullptr, &cache));
+    ASSERT_TRUE(code.decode(stripe.view(), mask, nullptr, &cache, ExecPolicy::sliced(threads)));
     std::vector<std::uint8_t> out(stripe.data_size());
     stripe.get_data(out);
     ASSERT_EQ(out, data) << "threads=" << threads;
@@ -230,9 +230,9 @@ TEST(ParallelExecute, WorkspaceIsReusedAcrossParallelCalls) {
   // parallel calls — the scratch must be re-mapped, never stale.
   Workspace ws;
   code.encode(a.view(), EncodingMethod::kAuto, &ws);
-  code.encode_parallel(b.view(), 3, EncodingMethod::kAuto, &ws);
+  code.encode(b.view(), EncodingMethod::kAuto, &ws, ExecPolicy::sliced(3));
   EXPECT_EQ(all_bytes(a.view()), all_bytes(b.view()));
-  code.encode_parallel(b.view(), 7, EncodingMethod::kAuto, &ws);
+  code.encode(b.view(), EncodingMethod::kAuto, &ws, ExecPolicy::sliced(7));
   EXPECT_EQ(all_bytes(a.view()), all_bytes(b.view()));
 }
 
@@ -259,7 +259,7 @@ TEST(ParallelExecute, UpdateParallelMatchesSerialAcrossMatrix) {
       for (std::size_t idx = 0; idx < code.data_symbol_count(); idx += 7) {
         rng.fill(fresh);
         engine.update(serial.view(), idx, fresh);
-        engine.update_parallel(parallel.view(), idx, fresh, threads);
+        engine.update(parallel.view(), idx, fresh, ExecPolicy::sliced(threads));
         ASSERT_EQ(all_bytes(serial.view()), all_bytes(parallel.view()))
             << c.cfg.to_string() << " data index " << idx << " threads=" << threads;
       }
@@ -268,7 +268,7 @@ TEST(ParallelExecute, UpdateParallelMatchesSerialAcrossMatrix) {
 }
 
 // The ExecPolicy entry point drives the same single implementation: policy
-// serial() == the plain call, sliced(t) == update_parallel(t).
+// serial() == the plain call == pooled().
 TEST(ParallelExecute, UpdatePolicyFormsAgree) {
   const StairConfig cfg{.n = 8, .r = 6, .m = 2, .e = {1, 2}};
   const StairCode code(cfg);
@@ -303,7 +303,7 @@ TEST(ParallelExecute, ManyMoreThreadsThanBytes) {
   serial.set_data(data);
   parallel.set_data(data);
   code.encode(serial.view());
-  code.encode_parallel(parallel.view(), 64);
+  code.encode(parallel.view(), EncodingMethod::kAuto, nullptr, ExecPolicy::sliced(64));
   EXPECT_EQ(all_bytes(serial.view()), all_bytes(parallel.view()));
 }
 

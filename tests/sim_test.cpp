@@ -1,17 +1,14 @@
-// Simulator tests: byte-exact end-to-end recovery through DataPathArray,
-// failure-injection statistics matching the configured models, Monte-Carlo
-// MTTDL agreeing with the analytic §7 model at inflated rates, and the
-// scrubbing model's limits.
+// Simulator tests: failure-injection statistics matching the configured
+// models, and the scrubbing model's limits. (Simulated-vs-analytic MTTDL
+// agreement lives in cluster_sim_test.)
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "reliability/mttdl.h"
-#include "reliability/pstr.h"
 #include "reliability/sector_models.h"
-#include "sim/array_sim.h"
+#include "sim/failure_injector.h"
 #include "sim/scrubber.h"
 
 namespace stair::sim {
@@ -183,110 +180,6 @@ TEST(FailureInjector, CorrelatedMarginalRateMatchesPSec) {
   }
   const double rate = static_cast<double>(losses) / (trials * n * r);
   EXPECT_NEAR(rate, p_sec, 0.15 * p_sec);
-}
-
-TEST(DataPathArray, EndToEndDeviceAndSectorRecovery) {
-  const StairCode code({.n = 8, .r = 8, .m = 2, .e = {1, 2}});
-  DataPathArray array(code, 6, 512, 123);
-  ASSERT_TRUE(array.verify());
-
-  array.fail_device(1);
-  array.fail_device(6);  // one data device, one parity device
-  // Plus a burst in another chunk of stripe 3, within e = (1,2).
-  std::vector<bool> extra(8 * 8, false);
-  extra[4 * 8 + 3] = true;
-  extra[5 * 8 + 3] = true;
-  array.corrupt(3, extra);
-
-  EXPECT_EQ(array.repair_all(), 0u);
-  EXPECT_TRUE(array.verify());
-}
-
-TEST(DataPathArray, UnrecoverableStripesAreReported) {
-  const StairCode code({.n = 6, .r = 4, .m = 1, .e = {1}});
-  DataPathArray array(code, 3, 256, 321);
-  // Two dead devices with m = 1: stripe 0 unrecoverable.
-  std::vector<bool> mask(6 * 4, false);
-  for (std::size_t i = 0; i < 4; ++i) {
-    mask[i * 6 + 0] = true;
-    mask[i * 6 + 1] = true;
-  }
-  array.corrupt(0, mask);
-  EXPECT_EQ(array.repair_all(), 1u);
-}
-
-TEST(DataPathArray, RepeatedDamageRepairCycles) {
-  const StairCode code({.n = 8, .r = 8, .m = 2, .e = {1, 1, 2}});
-  DataPathArray array(code, 4, 128, 77);
-  FailureInjector inj({SectorModel::kCorrelated, 0.01, 0.9, 1.5}, 78);
-  for (int round = 0; round < 12; ++round) {
-    for (std::size_t s = 0; s < array.stripe_count(); ++s) {
-      auto mask = inj.sample_stripe_mask(8, 8, {});
-      if (!array.code().is_recoverable(mask)) continue;  // skip overload rounds
-      array.corrupt(s, mask);
-    }
-    ASSERT_EQ(array.repair_all(), 0u) << "round " << round;
-    ASSERT_TRUE(array.verify()) << "round " << round;
-  }
-}
-
-TEST(MonteCarlo, PureDeviceFailureMttdlMatchesMarkov) {
-  // With sector failures off, the analytic m = 1 model reduces to the classic
-  // double-failure MTTDL; the simulation must land on it within noise.
-  MonteCarloParams params;
-  params.n = 8;
-  params.r = 8;
-  params.stripes = 1;
-  params.mttf_hours = 1000.0;
-  params.rebuild_hours = 50.0;  // inflated to make losses common
-  params.sector.p_sec = 0.0;
-  params.episodes = 6000;
-  params.seed = 5;
-
-  const auto result =
-      simulate_array_mttdl(params, [](const std::vector<bool>&) { return true; });
-  ASSERT_GT(result.data_loss_events, 100u);
-
-  reliability::SystemParams p;
-  p.n = params.n;
-  p.mttf_hours = params.mttf_hours;
-  p.rebuild_hours = params.rebuild_hours;
-  const double analytic = reliability::mttdl_array(p, 0.0);
-  EXPECT_NEAR(result.mttdl_hours / analytic, 1.0, 0.15);
-}
-
-TEST(MonteCarlo, SectorFailuresMatchAnalyticParr) {
-  // Inflate p_sec so critical-mode losses dominate, then compare against the
-  // analytic MTTDL built from the same P_str.
-  MonteCarloParams params;
-  params.n = 8;
-  params.r = 16;
-  params.stripes = 50;
-  params.mttf_hours = 10000.0;
-  params.rebuild_hours = 1.0;  // second-device losses negligible
-  params.sector = {SectorModel::kIndependent, 2e-3};
-  params.episodes = 4000;
-  params.seed = 17;
-
-  // Code under test: STAIR e = (1,2) pattern feasibility.
-  const StairConfig cfg{.n = 8, .r = 16, .m = 1, .e = {1, 2}};
-  const StairCode code(cfg);
-  const auto check = [&](const std::vector<bool>& mask) {
-    return code.is_recoverable(mask);
-  };
-  const auto result = simulate_array_mttdl(params, check);
-  ASSERT_GT(result.sector_loss_events, 30u);
-
-  reliability::SystemParams p;
-  p.n = params.n;
-  p.r = params.r;
-  p.mttf_hours = params.mttf_hours;
-  p.rebuild_hours = params.rebuild_hours;
-  p.device_bytes = params.stripes * p.sector_bytes * params.r;  // 50 stripes
-  const auto pchk = reliability::independent_chunk_pmf(params.sector.p_sec, params.r);
-  const double pstr = reliability::pstr_stair(pchk, params.n - 1, cfg.e);
-  const double analytic = reliability::mttdl_array(p, reliability::p_arr(p, pstr));
-  EXPECT_NEAR(result.mttdl_hours / analytic, 1.0, 0.35);
 }
 
 TEST(Scrubber, LatentErrorProbabilityLimits) {

@@ -297,7 +297,7 @@ TEST_P(ParallelEncodeTest, MatchesSerialEncodeExactly) {
   parallel.set_data(data);
 
   code.encode(serial.view());
-  code.encode_parallel(parallel.view(), GetParam());
+  code.encode(parallel.view(), EncodingMethod::kAuto, nullptr, ExecPolicy::sliced(GetParam()));
   ASSERT_EQ(all_bytes(serial.view()), all_bytes(parallel.view()));
 }
 
@@ -320,7 +320,7 @@ TEST_P(ParallelEncodeTest, ParallelDecodePlansWork) {
 
   auto plan = code.build_decode_schedule(lost);
   ASSERT_TRUE(plan.has_value());
-  code.execute_parallel(*plan, stripe.view(), GetParam());
+  code.execute(*plan, stripe.view(), nullptr, ExecPolicy::sliced(GetParam()));
   std::vector<std::uint8_t> out(stripe.data_size());
   stripe.get_data(out);
   EXPECT_EQ(out, data);
