@@ -13,9 +13,9 @@
 //
 // Shutdown is the part worth reading: the signal handler only sets a flag;
 // the main loop then calls drain() — stop admitting, finish everything in
-// flight, stop the scrubber, re-save the manifest — so the store a restart
-// loads is always self-consistent. The self-demo proves it: after serve,
-// the store decodes byte-identically to the original input.
+// flight, stop the scrubber, compact the checksum journal — so the store a
+// restart loads is always self-consistent. The self-demo proves it: after
+// serve, the store decodes byte-identically to the original input.
 //
 // Node knobs come from the environment (STAIR_NODE_TENANTS, STAIR_NODE_QUEUE,
 // STAIR_NODE_WORKERS, STAIR_NODE_BATCH, STAIR_NODE_SCRUB); malformed values
@@ -149,10 +149,10 @@ int cmd_serve(const fs::path& dir, std::size_t clients, double seconds) {
   std::printf("draining...\n");
   stop_flag.store(true);
   for (auto& t : threads) t.join();
-  node.drain();  // finish in-flight work, stop the scrubber, re-save manifest
+  node.drain();  // finish in-flight work, stop the scrubber, compact the journal
   print_stats(node.stats());
   node.stop();
-  std::printf("stopped; manifest re-saved (the restart recovery point)\n");
+  std::printf("stopped; journal compacted into the manifest snapshot\n");
   return 0;
 }
 
@@ -176,8 +176,8 @@ int self_demo() {
   if (int rc = cmd_encode(input, store, cfg)) return rc;
   if (int rc = cmd_serve(store, 4, 3.0)) return rc;
 
-  // The drained store must still decode byte-identically — the manifest the
-  // node re-saved is a valid recovery point even after live writes. (Writes
+  // The drained store must still decode byte-identically — the snapshot the
+  // node compacted is a valid recovery point even after live writes. (Writes
   // replace stripe contents, so compare through a fresh read of the store,
   // not against the original input.)
   const StripeStore manifest = StripeStore::load(store.string());

@@ -76,6 +76,37 @@ std::string StripeStore::manifest_path(const std::string& dir) {
   return dir + "/manifest.txt";
 }
 
+std::string StripeStore::journal_path(const std::string& dir) {
+  return dir + "/manifest.log";
+}
+
+namespace {
+
+void put_le64(std::uint8_t* at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+std::uint64_t get_le64(const std::uint8_t* at) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= std::uint64_t{at[i]} << (8 * i);
+  return v;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> StripeStore::journal_record(std::size_t stripe) const {
+  // [stripe][n * r sector checksums][data_checksum][hash of the preceding words]
+  const std::size_t sectors = cfg.n * cfg.r;
+  std::vector<std::uint8_t> rec(journal_record_bytes());
+  put_le64(rec.data(), stripe);
+  for (std::size_t i = 0; i < sectors; ++i)
+    put_le64(rec.data() + 8 * (1 + i), sector_checksums[stripe * sectors + i]);
+  put_le64(rec.data() + 8 * (1 + sectors), data_checksum);
+  put_le64(rec.data() + rec.size() - 8,
+           content_hash64(std::span(rec.data(), rec.size() - 8)));
+  return rec;
+}
+
 bool StripeStore::sector_ok(std::size_t stripe, std::size_t device, std::size_t row,
                             std::span<const std::uint8_t> bytes) const {
   return content_hash64(bytes) == sector_checksums[(stripe * cfg.n + device) * cfg.r + row];
@@ -143,10 +174,9 @@ std::uint64_t StripeStore::fold_data_checksum(const StairLayout& layout) const {
 }
 
 void StripeStore::save(const std::string& dir) const {
-  // Write-aside + rename: the manifest is the store's recovery point, so it
-  // must never be observable half-written. The temp name is unique per call
-  // (concurrent savers — e.g. a repair pass racing another — each rename a
-  // complete file; last rename wins atomically).
+  // Write-aside + rename: the snapshot must never be observable
+  // half-written. The temp name is unique per call (concurrent savers each
+  // rename a complete file; last rename wins atomically).
   static std::atomic<std::uint64_t> save_seq{0};
   const std::string path = manifest_path(dir);
   const std::string tmp =
@@ -199,6 +229,12 @@ T manifest_read(std::istream& in, const char* what) {
 }  // namespace
 
 StripeStore StripeStore::load(const std::string& dir) {
+  // The journal is opened before the snapshot is read. Compaction publishes
+  // a new snapshot and then renames an empty journal over the old one, so
+  // a load racing it holds either the old journal (whose records replay to
+  // no change on the new snapshot) or the new one, never a snapshot
+  // missing the records of a journal it no longer sees.
+  std::ifstream journal(journal_path(dir), std::ios::binary);
   std::ifstream in(manifest_path(dir));
   if (!in) manifest_fail("missing: " + manifest_path(dir));
   // Every value below is parse-checked as it is read, and the geometry is
@@ -290,6 +326,24 @@ StripeStore StripeStore::load(const std::string& dir) {
   if (chunk_lines != store.stripes * store.cfg.n)
     manifest_fail("truncated: " + std::to_string(chunk_lines) + " of " +
                   std::to_string(store.stripes * store.cfg.n) + " chunk lines");
+
+  // Replay, last record wins. A short record is a torn append; a bad hash
+  // or an out-of-range stripe is damage. Either way nothing after it can be
+  // trusted to follow it in commit order, so replay stops there.
+  const std::size_t sectors = store.cfg.n * store.cfg.r;
+  std::vector<std::uint8_t> rec(store.journal_record_bytes());
+  while (journal.read(reinterpret_cast<char*>(rec.data()),
+                      static_cast<std::streamsize>(rec.size()))) {
+    const std::uint64_t stripe = get_le64(rec.data());
+    if (get_le64(rec.data() + rec.size() - 8) !=
+            content_hash64(std::span(rec.data(), rec.size() - 8)) ||
+        stripe >= store.stripes)
+      break;
+    for (std::size_t i = 0; i < sectors; ++i)
+      store.sector_checksums[stripe * sectors + i] = get_le64(rec.data() + 8 * (1 + i));
+    store.data_checksum = get_le64(rec.data() + 8 * (1 + sectors));
+    store.journal_bytes += rec.size();
+  }
   return store;
 }
 
@@ -510,6 +564,10 @@ IoPipeline::Stats IoPipeline::encode_file(const std::string& input_path,
   if (st.error.empty()) {
     store.data_checksum = store.fold_data_checksum(code.layout());
     try {
+      // A journal left by an earlier store in this directory describes
+      // chunks that no longer exist: drop it before the fresh snapshot is
+      // published, or the next load would replay it over that snapshot.
+      std::filesystem::remove(StripeStore::journal_path(store_dir));
       store.save(store_dir);
       st.ok = true;
     } catch (const std::exception& e) {

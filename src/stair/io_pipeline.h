@@ -16,7 +16,9 @@
 //
 // The on-disk layout is a StripeStore: one dev_NN.bin per device (stripe k's
 // chunk of device j at byte k * r * symbol_bytes), plus a manifest recording
-// the config and a checksum per (stripe, device) chunk. Checksums are what
+// the config and a checksum per sector: the text snapshot manifest.txt and
+// the checksum journal manifest.log, whose fixed-size records carry the
+// stripe rewrites committed since that snapshot. Checksums are what
 // make degraded reads honest: a chunk that is missing, short, unreadable
 // (EIO), or torn (checksum mismatch) is treated as erased for exactly its
 // stripe, the mask is resolved through the session's DecodePlanCache (every
@@ -94,6 +96,9 @@ struct StripeStore {
   /// writing off its whole chunk: the mixed device+sector failure patterns
   /// STAIR's coverage is about.
   std::vector<std::uint64_t> sector_checksums;
+  /// Bytes of the journal that load() replayed: its valid record prefix. A
+  /// writer resumes appending here, over any torn or rejected tail.
+  std::uint64_t journal_bytes = 0;
 
   std::size_t chunk_bytes() const { return cfg.r * symbol_bytes; }
   /// chunk_bytes rounded up to the layout block — the on-disk stride and
@@ -141,17 +146,30 @@ struct StripeStore {
 
   static std::string device_path(const std::string& dir, std::size_t device);
   static std::string manifest_path(const std::string& dir);
+  static std::string journal_path(const std::string& dir);
 
-  /// Writes manifest.txt into `dir` atomically (unique temp file + rename,
-  /// so a power cut mid-save leaves the previous manifest intact — the
-  /// manifest is the store's recovery point). Throws on IO failure.
+  /// Bytes of one journal record: the stripe index, its n * r sector
+  /// checksums, data_checksum and a content_hash64 over the rest, 8 bytes
+  /// each (LE). Fixed by the geometry, whatever the number of stripes.
+  std::size_t journal_record_bytes() const { return 8 * (cfg.n * cfg.r + 3); }
+  /// Stripe `stripe`'s journal record: its current checksums and the
+  /// current data_checksum — what one committed stripe rewrite appends.
+  std::vector<std::uint8_t> journal_record(std::size_t stripe) const;
+
+  /// Writes the snapshot manifest.txt into `dir` (unique temp file +
+  /// rename: a process crash mid-save leaves the previous snapshot in place.
+  /// Nothing is synced, so a power cut gives no such promise). Leaves the
+  /// journal alone: replaying records the snapshot already holds changes
+  /// nothing. Throws on IO failure.
   void save(const std::string& dir) const;
-  /// Loads and validates manifest.txt. Every field is parse-checked and
-  /// bounds-checked (file_size against what `stripes` stripes hold) before it
-  /// is used to size or index sector_checksums: a truncated, garbled, or
-  /// adversarial manifest throws std::runtime_error with a "manifest"
-  /// message — never UB. (The accessors above stay unchecked; a loaded
-  /// store is guaranteed self-consistent.)
+  /// Loads and validates manifest.txt, then replays manifest.log over it.
+  /// Every snapshot field is parse-checked and bounds-checked (file_size
+  /// against what `stripes` stripes hold) before it is used to size or
+  /// index sector_checksums: a truncated, garbled, or adversarial manifest
+  /// throws std::runtime_error with a "manifest" message — never UB. Replay
+  /// is last-record-wins and stops quietly at the first record that is
+  /// short, fails its hash, or names a stripe >= stripes. (The accessors
+  /// above stay unchecked; a loaded store is guaranteed self-consistent.)
   static StripeStore load(const std::string& dir);
 };
 

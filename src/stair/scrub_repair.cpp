@@ -267,15 +267,6 @@ ScrubReport Scrubber::run_pass(const std::string& store_dir,
     std::lock_guard<std::mutex> lock(pass.mu);
     rep.error = pass.error;
   }
-  if (rep.error.empty() && rep.sectors_repaired > 0) {
-    // Repair rewrote store content to its manifest-proven state; re-saving
-    // refreshes the recovery point canonically (atomic temp + rename).
-    try {
-      store.save(store_dir);
-    } catch (const std::exception& e) {
-      rep.error = e.what();
-    }
-  }
   rep.ok = rep.error.empty();
   rep.completed = rep.ok && rep.stripes_scanned == rep.stripes;
   return rep;

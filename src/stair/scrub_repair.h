@@ -28,9 +28,10 @@
 // checksum *before* any write is issued (a repair must never write bytes it
 // cannot prove), sectors are patched in place through Engine::open_update
 // (no truncation — healthy sectors are untouched), and a fully-masked
-// column writes one whole chunk instead of r sector writes. After a pass
-// that repaired anything the manifest is re-saved (atomic temp + rename),
-// refreshing the store's recovery point.
+// column writes one whole chunk instead of r sector writes. A repair
+// restores bytes the manifest already proves, so it changes no checksum and
+// the pass writes no metadata: re-saving the pass-start snapshot would
+// overwrite whatever a live StorageNode committed since.
 //
 // Submissions are phase-tagged (io::PhaseScope): scrub reads carry kScrub,
 // rebuild reads kRebuild, repair writes kRepair — which is what lets the

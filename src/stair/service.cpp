@@ -5,8 +5,12 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <stdexcept>
 #include <utility>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "util/thread_pool.h"
 
@@ -126,8 +130,10 @@ StorageNode::~StorageNode() {
   try {
     stop();
   } catch (...) {
-    // Destruction must not throw; a failed final manifest save leaves the
-    // previous manifest intact (atomic rename), so the store stays loadable.
+    // Destruction must not throw. A failed final compaction leaves the
+    // previous snapshot and the journal in place, so a reload still sees
+    // every committed write. (The snapshot rename is atomic against a
+    // process crash, not a power cut: nothing is synced.)
   }
 }
 
@@ -142,10 +148,24 @@ void StorageNode::start() {
   stripe_data_ = codec_.code().data_symbol_count() * store_.symbol_bytes;
 
   // Per-stripe data-hash folds, maintained incrementally by the write path so
-  // flush_manifest never re-reads content bytes.
+  // a write never re-reads content bytes.
   stripe_hashes_.assign(store_.stripes, 0);
   for (std::size_t s = 0; s < store_.stripes; ++s)
     stripe_hashes_[s] = store_.data_hash(s, codec_.code().layout());
+
+  snapshot_bytes_ = std::filesystem::file_size(StripeStore::manifest_path(store_dir_));
+  // Appends resume at the replayed prefix: cutting off a torn or rejected
+  // tail keeps it from hiding the records written after it.
+  const std::string journal = StripeStore::journal_path(store_dir_);
+  journal_fd_ = ::open(journal.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+  if (journal_fd_ < 0 ||
+      ::ftruncate(journal_fd_, static_cast<off_t>(store_.journal_bytes)) != 0) {
+    const int err = errno;
+    if (journal_fd_ >= 0) ::close(journal_fd_);
+    journal_fd_ = -1;
+    throw std::runtime_error("StorageNode: cannot open " + journal + ": " + std::strerror(err));
+  }
+  journal_bytes_ = store_.journal_bytes;
 
   if (options_.io.engine) {
     engine_ = options_.io.engine;
@@ -166,6 +186,8 @@ void StorageNode::start() {
       for (int fd : dev_fds_)
         if (fd >= 0) engine_->close(fd);
       dev_fds_.clear();
+      ::close(journal_fd_);
+      journal_fd_ = -1;
       throw std::runtime_error("StorageNode: cannot open " +
                                StripeStore::device_path(store_dir_, j) + ": " +
                                std::strerror(err));
@@ -252,7 +274,8 @@ void StorageNode::drain() {
              in_service_.load(std::memory_order_relaxed) == 0;
     });
   }
-  flush_manifest();
+  std::lock_guard<std::mutex> lock(manifest_mu_);
+  compact_journal();
 }
 
 void StorageNode::stop() {
@@ -270,6 +293,8 @@ void StorageNode::stop() {
   write_staging_.reset();
   for (int fd : dev_fds_) engine_->close(fd);
   dev_fds_.clear();
+  ::close(journal_fd_);
+  journal_fd_ = -1;
   stopped_ = true;
   started_ = false;
 }
@@ -553,19 +578,28 @@ void StorageNode::serve_write(std::size_t worker, const StatePtr& state) {
 
   if (ok) {
     // The store's new truth: sector checksums, this stripe's data fold, the
-    // whole-file fold — then the manifest on disk, so the recovery point
-    // trails each write by at most one save.
+    // whole-file fold — committed as one fixed-size journal record. The
+    // snapshot is rewritten only once the journal has grown to its size,
+    // which keeps the metadata cost per write O(1), amortized.
     std::lock_guard<std::mutex> lock(manifest_mu_);
     std::copy(new_checksums.begin(), new_checksums.end(),
               store_.stripe_checksums(req.stripe).begin());
     stripe_hashes_[req.stripe] = store_.data_hash(req.stripe, codec_.code().layout());
     store_.data_checksum = combine_hashes(stripe_hashes_);
     try {
-      store_.save(store_dir_);
+      // At the committed end rather than O_APPEND: a short write leaves
+      // journal_bytes_ where it was, so the next record overwrites the tear.
+      const std::vector<std::uint8_t> record = store_.journal_record(req.stripe);
+      const ssize_t n = ::pwrite(journal_fd_, record.data(), record.size(),
+                                 static_cast<off_t>(journal_bytes_));
+      if (n != static_cast<ssize_t>(record.size()))
+        throw std::runtime_error(std::string("journal append failed: ") +
+                                 (n < 0 ? std::strerror(errno) : "short write"));
+      journal_bytes_ += record.size();
+      if (journal_bytes_ >= snapshot_bytes_) compact_journal();
     } catch (const std::exception& e) {
-      // Chunks are on disk and self-consistent in memory; the on-disk
-      // manifest is stale until the next successful flush (drain retries).
-      manifest_dirty_ = true;
+      // Chunks are on disk and self-consistent in memory; drain's
+      // compaction persists them.
       error = e.what();
     }
   }
@@ -578,11 +612,24 @@ void StorageNode::serve_write(std::size_t worker, const StatePtr& state) {
   complete(state, std::move(resp));
 }
 
-void StorageNode::flush_manifest() {
-  std::lock_guard<std::mutex> lock(manifest_mu_);
-  store_.data_checksum = combine_hashes(stripe_hashes_);
+void StorageNode::compact_journal() {
   store_.save(store_dir_);
-  manifest_dirty_ = false;
+  snapshot_bytes_ = std::filesystem::file_size(StripeStore::manifest_path(store_dir_));
+  // An empty journal renamed over the old one, not a truncate in place: a
+  // load() that opened the old journal before reading a snapshot still
+  // replays every record of it (see StripeStore::load).
+  const std::string path = StripeStore::journal_path(store_dir_);
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) throw std::runtime_error("StorageNode: cannot create " + tmp);
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    throw std::runtime_error("StorageNode: cannot publish " + path);
+  }
+  ::close(journal_fd_);
+  journal_fd_ = fd;
+  journal_bytes_ = 0;
 }
 
 void StorageNode::complete(const StatePtr& state, Response response) {

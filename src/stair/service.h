@@ -28,9 +28,9 @@
 //     and failure counters, and mergeable log-bucketed latency histograms
 //     (util/latency.h) per request class — p50/p99/p999, not averages.
 //   * Lifecycle: start() opens the store and spawns the service; drain()
-//     stops admitting, finishes everything in flight, and re-saves the
-//     manifest (the store's recovery point); stop() drains and shuts down.
-//     A new StorageNode on the same directory resumes byte-identically.
+//     stops admitting, finishes everything in flight, and compacts the
+//     checksum journal into the snapshot manifest; stop() drains and shuts
+//     down. A new StorageNode on the same directory resumes byte-identically.
 //
 // Requests are in-process (submit(Request) -> Future): the node is the
 // scheduling and accounting layer a network frontend would sit on, kept
@@ -39,13 +39,17 @@
 // Reads are served sector-granularly through IoPipeline::read_range —
 // including degraded reads during a device rebuild. Writes are
 // stripe-granular: the stripe is re-encoded through the Codec session, all n
-// chunks rewritten, and the manifest's sector checksums and whole-file fold
-// refreshed and re-saved, so a drained store is always self-consistent.
+// chunks rewritten, and the new sector checksums and whole-file fold
+// committed as one fixed-size record appended to the checksum journal
+// (manifest.log) before the write is acknowledged. The text snapshot
+// (manifest.txt) is rewritten only by compaction: at drain, and when the
+// journal has grown to the snapshot's size, so a write's metadata cost does
+// not grow with the store. Nothing is synced: acknowledged means in the
+// page cache, which survives a process crash but not a power cut.
 // Stripe-range locks order concurrent reads and writes of the same stripes;
 // a write racing a scrub pass is safe by the Scrubber's proven-before-write
 // rule (a stale-manifest reconstruction cannot pass re-verification, so the
-// pass counts the stripe and moves on; the next pass sees the re-saved
-// manifest).
+// pass counts the stripe and moves on; the next pass loads the journal).
 //
 // Thread-safety: submit()/stats() from any thread; Future::wait() blocks the
 // caller only. Request buffers (out/data spans) must stay valid until the
@@ -210,8 +214,8 @@ class StorageNode {
   Future submit(Request request);
 
   /// Stops admitting (rejects from now on), serves everything already
-  /// queued, stops the background scrubber, and re-saves the manifest.
-  /// Idempotent; blocks until quiescent.
+  /// queued, stops the background scrubber, and compacts the journal into
+  /// the snapshot. Idempotent; blocks until quiescent.
   void drain();
 
   /// drain(), then joins the workers and closes the store. The node cannot
@@ -242,7 +246,9 @@ class StorageNode {
   void serve_reads(std::size_t worker, std::vector<StatePtr>& batch);
   void serve_write(std::size_t worker, const StatePtr& state);
   void complete(const StatePtr& state, Response response);
-  void flush_manifest();
+  /// Saves the snapshot, then starts an empty journal. Caller holds
+  /// manifest_mu_. Throws on IO failure (the old journal stays valid).
+  void compact_journal();
   bool foreground_pressure() const;
 
   Codec& codec_;
@@ -263,7 +269,11 @@ class StorageNode {
   /// Per-stripe data-hash folds, kept current by the write path so the
   /// whole-file fold refreshes without re-reading content.
   std::vector<std::uint64_t> stripe_hashes_;
-  bool manifest_dirty_ = false;
+  /// The checksum journal: append fd, its committed length, and the size
+  /// of the snapshot it compacts into once it has grown that large.
+  int journal_fd_ = -1;
+  std::uint64_t journal_bytes_ = 0;
+  std::uint64_t snapshot_bytes_ = 0;
   std::size_t stripe_data_ = 0;
 
   /// Per-stripe shared/exclusive occupancy: readers hold their stripe span,

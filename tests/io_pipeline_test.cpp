@@ -2,8 +2,9 @@
 // fault-injection matrix (device-only / sector-only / mixed patterns, EIO,
 // short reads, torn writes — every recoverable class reconstructs
 // byte-identically, unrecoverable classes surface as failed handles), the
-// deterministic seeded injector, and cross-backend determinism of the whole
-// file path (GF backend x region layout x IO backend x pool width).
+// deterministic seeded injector, cross-backend determinism of the whole
+// file path (GF backend x region layout x IO backend x pool width), manifest
+// hardening and checksum-journal replay.
 
 #include <gtest/gtest.h>
 
@@ -643,6 +644,123 @@ TEST(ManifestHardening, CoverageListParseIsStrict) {
   for (const char* bad : {"1,2x", "1,,2", "1,", ",1", "", "x", "-1", " 1", "1 ",
                           "99999999999999999999999"})
     EXPECT_THROW(parse_coverage_list(bad), std::invalid_argument) << "'" << bad << "'";
+}
+
+// --- checksum journal ---------------------------------------------------------
+
+namespace {
+
+/// `base` with stripe `stripe`'s checksums and the data fold set to values
+/// derived from `tag`, so each variant's journal record is distinguishable.
+StripeStore variant(const StripeStore& base, std::size_t stripe, std::uint64_t tag) {
+  StripeStore v = base;
+  auto sums = v.stripe_checksums(stripe);
+  for (std::size_t i = 0; i < sums.size(); ++i) sums[i] = tag * 1000 + i;
+  v.data_checksum = tag;
+  return v;
+}
+
+std::string record_text(const StripeStore& store, std::size_t stripe) {
+  const auto rec = store.journal_record(stripe);
+  return {rec.begin(), rec.end()};
+}
+
+std::vector<std::uint64_t> stripe_sums(StripeStore& store, std::size_t stripe) {
+  const auto sums = store.stripe_checksums(stripe);
+  return {sums.begin(), sums.end()};
+}
+
+fs::path journal_of(const TempDir& dir) {
+  return StripeStore::journal_path((dir.path / "store").string());
+}
+
+}  // namespace
+
+// Last record wins, and a record cut short by a crash mid-append is
+// ignored without costing the records before it.
+TEST(ChecksumJournal, TornTailIgnoredEarlierRecordsApply) {
+  const StoreCase c = fault_cases()[0];
+  TempDir dir("jtorn");
+  encode_store(dir, c, 48 * 1000, 40);
+  const std::string store_path = (dir.path / "store").string();
+  StripeStore base = StripeStore::load(store_path);
+  ASSERT_GE(base.stripes, 4u);
+  ASSERT_FALSE(fs::exists(journal_of(dir)));  // a fresh store has no journal
+
+  StripeStore a = variant(base, 1, 7), b = variant(base, 1, 8), cut = variant(base, 3, 9);
+  const std::string torn = record_text(cut, 3);
+  spit(journal_of(dir),
+       record_text(a, 1) + record_text(b, 1) + torn.substr(0, torn.size() / 2));
+
+  StripeStore loaded = StripeStore::load(store_path);
+  EXPECT_EQ(stripe_sums(loaded, 1), stripe_sums(b, 1));
+  EXPECT_EQ(stripe_sums(loaded, 3), stripe_sums(base, 3));
+  EXPECT_EQ(loaded.data_checksum, 8u);
+  EXPECT_EQ(loaded.journal_bytes, 2 * base.journal_record_bytes());
+  for (std::size_t s : {std::size_t{0}, std::size_t{2}})
+    EXPECT_EQ(stripe_sums(loaded, s), stripe_sums(base, s));
+}
+
+TEST(ChecksumJournal, BadHashStopsReplay) {
+  const StoreCase c = fault_cases()[0];
+  TempDir dir("jhash");
+  encode_store(dir, c, 48 * 1000, 41);
+  const std::string store_path = (dir.path / "store").string();
+  StripeStore base = StripeStore::load(store_path);
+
+  StripeStore a = variant(base, 1, 7), b = variant(base, 2, 8), after = variant(base, 3, 9);
+  std::string damaged = record_text(b, 2);
+  damaged[16] ^= 0x01;  // a bit of the first sector checksum
+  spit(journal_of(dir), record_text(a, 1) + damaged + record_text(after, 3));
+
+  StripeStore loaded = StripeStore::load(store_path);
+  EXPECT_EQ(stripe_sums(loaded, 1), stripe_sums(a, 1));
+  EXPECT_EQ(stripe_sums(loaded, 2), stripe_sums(base, 2));
+  EXPECT_EQ(stripe_sums(loaded, 3), stripe_sums(base, 3));  // nothing past the damage
+  EXPECT_EQ(loaded.data_checksum, 7u);
+  EXPECT_EQ(loaded.journal_bytes, base.journal_record_bytes());
+}
+
+// A well-formed record naming a stripe the snapshot does not have (here, one
+// from a larger store of the same geometry) must not index past the table.
+TEST(ChecksumJournal, OutOfRangeStripeRejected) {
+  const StoreCase c = fault_cases()[0];
+  TempDir small("jrange_small"), large("jrange_large");
+  encode_store(small, c, 24 * 1000, 42);
+  encode_store(large, c, 96 * 1000, 42);
+  const std::string store_path = (small.path / "store").string();
+  StripeStore base = StripeStore::load(store_path);
+  const StripeStore big = StripeStore::load((large.path / "store").string());
+  ASSERT_GT(big.stripes, base.stripes);
+
+  spit(journal_of(small),
+       record_text(big, big.stripes - 1) + record_text(variant(base, 0, 7), 0));
+  StripeStore loaded;
+  ASSERT_NO_THROW(loaded = StripeStore::load(store_path));
+  EXPECT_EQ(loaded.sector_checksums, base.sector_checksums);
+  EXPECT_EQ(loaded.data_checksum, base.data_checksum);
+  EXPECT_EQ(loaded.journal_bytes, 0u);
+}
+
+// Re-encoding into a directory must not let the old store's journal replay
+// over the new snapshot.
+TEST(ChecksumJournal, EncodeDropsAStaleJournal) {
+  const StoreCase c = fault_cases()[0];
+  TempDir dir("jstale");
+  const auto data = encode_store(dir, c, 48 * 1000, 43);
+  const std::string store_path = (dir.path / "store").string();
+  const StripeStore fresh = StripeStore::load(store_path);
+  spit(journal_of(dir), record_text(variant(fresh, 1, 7), 1));
+  ASSERT_NE(StripeStore::load(store_path).sector_checksums, fresh.sector_checksums);
+
+  encode_store(dir, c, 48 * 1000, 43);
+  EXPECT_FALSE(fs::exists(journal_of(dir)));
+  const StripeStore reloaded = StripeStore::load(store_path);
+  EXPECT_EQ(reloaded.sector_checksums, fresh.sector_checksums);
+  EXPECT_EQ(reloaded.data_checksum, fresh.data_checksum);
+  const auto st = decode_store(dir, c);
+  ASSERT_TRUE(st.ok) << st.error;
+  EXPECT_EQ(read_all(dir.path / "output.bin"), data);
 }
 
 // --- StripeStore verify / stage primitives -----------------------------------

@@ -3,9 +3,10 @@
 // chunk writes), whole-device rebuild under its concurrency bound with
 // ranged degraded reads served concurrently, phase-scoped fault plans that
 // hit scrub IO while foreground traffic stays healthy, pacing (token bucket
-// + idle-slot gate), the power-cut battery around the manifest as recovery
-// point, and the races TSan watches: scrub vs foreground reads, scrub vs
-// rewrite, repair vs scrub.
+// + idle-slot gate), the battery around the manifest as recovery point
+// (scrub and rebuild leave it and the checksum journal untouched), and the
+// races TSan watches: scrub vs foreground reads, scrub vs rewrite, repair vs
+// scrub.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "gf/kernel.h"
 #include "stair/io_pipeline.h"
 #include "stair/scrub_repair.h"
+#include "stair/service.h"
 #include "util/rng.h"
 
 namespace stair {
@@ -534,6 +536,64 @@ TEST(ScrubRepairTest, TruncatedManifestFailsScrubCleanly) {
   EXPECT_NE(rep.error.find("manifest"), std::string::npos) << rep.error;
   EXPECT_EQ(rep.stripes_scanned, 0u);
   EXPECT_EQ(rep.bytes_written, 0u);  // a scrubber without a manifest writes nothing
+}
+
+// A repair restores manifest-proven bytes, so neither scrub nor rebuild may
+// write metadata: a re-save of the pass-start snapshot would clobber what a
+// live node commits meanwhile. The store here carries journal records (a
+// copy taken while a StorageNode ran), which such a re-save would fold into
+// manifest.txt.
+TEST(ScrubRepairTest, RepairAndRebuildLeaveTheManifestFilesUntouched) {
+  const StoreCase c = fault_cases()[0];
+  TempDir dir("meta_node");
+  auto data = encode_store(dir, c, 48 * 1024, 61);
+  TempDir crashed("meta_copy");
+  {
+    Codec codec(c.cfg);
+    StorageNode node(codec, store_dir(dir), {.tenants = 1, .workers = 2});
+    node.start();
+    const std::size_t stripe_data = node.stripe_data_bytes();
+    Rng rng(62);
+    for (const std::size_t s : {std::size_t{0}, std::size_t{1}}) {
+      std::vector<std::uint8_t> fresh(stripe_data);
+      rng.fill(fresh);
+      Request w;
+      w.type = RequestType::kWrite;
+      w.stripe = s;
+      w.data = fresh;
+      const Response r = node.submit(w).wait();
+      ASSERT_TRUE(r.ok) << r.error;
+      std::memcpy(data.data() + s * stripe_data, fresh.data(), stripe_data);
+    }
+    fs::copy(store_dir(dir), store_dir(crashed), fs::copy_options::recursive);
+  }
+  const fs::path snapshot = StripeStore::manifest_path(store_dir(crashed));
+  const fs::path journal = StripeStore::journal_path(store_dir(crashed));
+  const auto snapshot_bytes = read_all(snapshot), journal_bytes = read_all(journal);
+  ASSERT_FALSE(journal_bytes.empty());
+
+  const StripeStore store = StripeStore::load(store_dir(crashed));
+  flip_bytes(dev_path(crashed, 1), store.chunk_offset(0), c.symbol);
+  flip_bytes(dev_path(crashed, 4), store.chunk_offset(1) + c.symbol, 32);
+  Codec codec(c.cfg);
+  Scrubber scrubber(codec, {});
+  const ScrubReport rep = scrubber.scrub(store_dir(crashed));
+  EXPECT_TRUE(rep.ok) << rep.error;
+  EXPECT_EQ(rep.sectors_repaired, 2u);
+  EXPECT_EQ(read_all(snapshot), snapshot_bytes);
+  EXPECT_EQ(read_all(journal), journal_bytes);
+
+  fs::remove(dev_path(crashed, 3));
+  const ScrubReport rebuilt = scrubber.rebuild_device(store_dir(crashed), 3);
+  EXPECT_TRUE(rebuilt.ok) << rebuilt.error;
+  EXPECT_TRUE(rebuilt.completed);
+  EXPECT_EQ(read_all(snapshot), snapshot_bytes);
+  EXPECT_EQ(read_all(journal), journal_bytes);
+
+  const auto dec = decode_store(crashed, c);
+  ASSERT_TRUE(dec.ok) << dec.error;
+  EXPECT_EQ(dec.degraded_stripes, 0u);
+  EXPECT_EQ(read_all(crashed.path / "output.bin"), data);
 }
 
 // --- races (the TSan battery) ------------------------------------------------

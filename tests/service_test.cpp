@@ -1,7 +1,8 @@
 // StorageNode battery: the service layer's contracts under contention.
 // Round trips through submit() across tenants and classes, write-path
 // persistence (manifest refresh, drain/restart byte-identity, decode_file
-// agreement), admission control (fail-fast rejects, bounded queues under
+// agreement), the checksum journal (crash-copy recovery, compaction bound,
+// fixed record size), admission control (fail-fast rejects, bounded queues under
 // flood), multi-tenant fairness (a flooding tenant cannot starve another's
 // reads), priority (queued reads dispatch ahead of queued scans), degraded
 // serving during device loss, scrub-while-serving integration, and the
@@ -203,6 +204,136 @@ TEST(ServiceTest, DrainRestartRoundTripsByteIdentically) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(got, data);
   node.stop();
+}
+
+// --- checksum journal ---------------------------------------------------------
+
+std::uintmax_t journal_size(const TempDir& dir) {
+  return fs::file_size(StripeStore::journal_path(store_dir(dir)));
+}
+
+std::uintmax_t snapshot_size(const TempDir& dir) {
+  return fs::file_size(StripeStore::manifest_path(store_dir(dir)));
+}
+
+std::vector<std::uint8_t> slurp(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Acknowledged writes are in the journal, not only in the node's memory:
+/// a copy of the directory taken while the node still runs (what a process
+/// crash leaves behind) decodes to the new bytes.
+TEST(ServiceJournal, AcknowledgedWritesSurviveAProcessCrash) {
+  TempDir dir("crash");
+  auto data = encode_store(dir, 40'000, 20);
+  const auto snapshot = slurp(StripeStore::manifest_path(store_dir(dir)));
+
+  Codec codec(kCfg);
+  StorageNode node(codec, store_dir(dir), {.tenants = 1, .workers = 2});
+  node.start();
+  const std::size_t stripe_data = node.stripe_data_bytes();
+  const std::size_t stripes = node.store().stripes;
+  Rng rng(21);
+  for (const std::size_t s : {std::size_t{0}, std::size_t{2}, stripes - 1}) {
+    const std::size_t len = std::min(stripe_data, data.size() - s * stripe_data);
+    std::vector<std::uint8_t> fresh(len);
+    rng.fill(fresh);
+    const Response r = node.submit(write_req(0, s, fresh)).wait();
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_TRUE(r.error.empty()) << r.error;
+    std::memcpy(data.data() + s * stripe_data, fresh.data(), len);
+  }
+  // Three records and the untouched snapshot: the writes were committed
+  // without a whole-manifest rewrite.
+  EXPECT_EQ(journal_size(dir), 3 * node.store().journal_record_bytes());
+  EXPECT_EQ(slurp(StripeStore::manifest_path(store_dir(dir))), snapshot);
+
+  TempDir crashed("crash_copy");
+  fs::copy(store_dir(dir), store_dir(crashed), fs::copy_options::recursive);
+  node.stop();
+
+  Codec codec2(kCfg);
+  IoPipeline pipeline(codec2, {.symbol_bytes = kSymbol});
+  const auto st =
+      pipeline.decode_file(store_dir(crashed), (crashed.path / "out.bin").string());
+  ASSERT_TRUE(st.ok) << st.error;
+  EXPECT_EQ(st.degraded_stripes, 0u);
+  EXPECT_EQ(slurp(crashed.path / "out.bin"), data);
+}
+
+/// Compaction keeps the journal below the snapshot's size plus one record,
+/// and folding the journal into the snapshot changes nothing a load sees.
+TEST(ServiceJournal, CompactionBoundsTheJournalAndPreservesTheStore) {
+  TempDir dir("compact");
+  auto data = encode_store(dir, 20'000, 22);  // 3 stripes: a small snapshot
+
+  Codec codec(kCfg);
+  StorageNode node(codec, store_dir(dir), {.tenants = 1, .workers = 2});
+  node.start();
+  const std::size_t stripe_data = node.stripe_data_bytes();
+  const std::size_t stripes = node.store().stripes;
+  const std::uintmax_t record = node.store().journal_record_bytes();
+  Rng rng(23);
+  std::size_t compactions = 0;
+  std::uintmax_t last = journal_size(dir);
+  for (std::size_t i = 0; i < 40; ++i) {
+    const std::size_t s = i % stripes;
+    const std::size_t len = std::min(stripe_data, data.size() - s * stripe_data);
+    std::vector<std::uint8_t> fresh(len);
+    rng.fill(fresh);
+    const Response r = node.submit(write_req(0, s, fresh)).wait();
+    ASSERT_TRUE(r.ok) << r.error;
+    std::memcpy(data.data() + s * stripe_data, fresh.data(), len);
+    const std::uintmax_t now = journal_size(dir);
+    EXPECT_LE(now, snapshot_size(dir) + record) << "after write " << i;
+    compactions += now < last;
+    last = now;
+  }
+  EXPECT_GE(compactions, 2u);
+
+  // Make sure the journal holds records, then compare a load before the
+  // drain's compaction with one after it.
+  std::vector<std::uint8_t> fresh(std::min(stripe_data, data.size()));
+  rng.fill(fresh);
+  ASSERT_TRUE(node.submit(write_req(0, 0, fresh)).wait().ok);
+  std::memcpy(data.data(), fresh.data(), fresh.size());
+  ASSERT_GT(journal_size(dir), 0u);
+  const StripeStore before = StripeStore::load(store_dir(dir));
+  node.drain();
+  EXPECT_EQ(journal_size(dir), 0u);
+  const StripeStore after = StripeStore::load(store_dir(dir));
+  EXPECT_EQ(after.sector_checksums, before.sector_checksums);
+  EXPECT_EQ(after.data_checksum, before.data_checksum);
+  EXPECT_EQ(after.stripes, before.stripes);
+  EXPECT_EQ(after.file_size, before.file_size);
+  node.stop();
+
+  Codec codec2(kCfg);
+  IoPipeline pipeline(codec2, {.symbol_bytes = kSymbol});
+  const auto st = pipeline.decode_file(store_dir(dir), (dir.path / "out.bin").string());
+  ASSERT_TRUE(st.ok) << st.error;
+  EXPECT_EQ(slurp(dir.path / "out.bin"), data);
+}
+
+/// One write appends one record whose size depends on the geometry only.
+TEST(ServiceJournal, RecordSizeDoesNotGrowWithTheStore) {
+  std::vector<std::uintmax_t> grew;
+  for (const std::size_t bytes : {std::size_t{8'000}, std::size_t{400'000}}) {
+    TempDir dir("record_" + std::to_string(bytes));
+    const auto data = encode_store(dir, bytes, 24);
+    Codec codec(kCfg);
+    StorageNode node(codec, store_dir(dir), {.tenants = 1, .workers = 2});
+    node.start();
+    std::vector<std::uint8_t> fresh(std::min(node.stripe_data_bytes(), data.size()));
+    Rng(25).fill(fresh);
+    const std::uintmax_t before = journal_size(dir);
+    ASSERT_TRUE(node.submit(write_req(0, 0, fresh)).wait().ok);
+    grew.push_back(journal_size(dir) - before);
+    EXPECT_EQ(grew.back(), node.store().journal_record_bytes());
+    node.stop();
+  }
+  EXPECT_EQ(grew[0], grew[1]);
 }
 
 // --- admission control -------------------------------------------------------

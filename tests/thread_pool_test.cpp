@@ -148,20 +148,25 @@ TEST(ThreadPool, SubmitRunsEveryTask) {
   ThreadPool pool(4);
   constexpr std::size_t kTasks = 500;
   std::atomic<std::size_t> ran{0};
-  std::atomic<std::size_t> done{0};
+  std::size_t done = 0;  // guarded by mu
   std::mutex mu;
   std::condition_variable cv;
   for (std::size_t i = 0; i < kTasks; ++i) {
     pool.submit([&] {
       ran.fetch_add(1);
-      if (done.fetch_add(1) + 1 == kTasks) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-      }
+      // Counted and notified under `mu`: the waiter can only see the last
+      // count after this unlock, so the cv is never destroyed under a
+      // notify that has not returned.
+      std::lock_guard<std::mutex> lock(mu);
+      if (++done == kTasks) cv.notify_all();
     });
   }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return done.load() == kTasks; });
+  {
+    // Scoped to the wait: the spin below must not hold `mu`, or a task
+    // still queued for it could never return and bump tasks_run.
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return done == kTasks; });
+  }
   EXPECT_EQ(ran.load(), kTasks);
   // The pool's stat is bumped after the task body returns, so it can trail
   // the in-task counter by the tasks still unwinding.
