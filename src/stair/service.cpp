@@ -585,7 +585,7 @@ void StorageNode::serve_write(std::size_t worker, const StatePtr& state) {
     std::copy(new_checksums.begin(), new_checksums.end(),
               store_.stripe_checksums(req.stripe).begin());
     stripe_hashes_[req.stripe] = store_.data_hash(req.stripe, codec_.code().layout());
-    store_.data_checksum = combine_hashes(stripe_hashes_);
+    store_.data_checksum = store_.fold_stripe_hashes(stripe_hashes_);
     try {
       // At the committed end rather than O_APPEND: a short write leaves
       // journal_bytes_ where it was, so the next record overwrites the tear.

@@ -4,7 +4,8 @@
 // byte-identically, unrecoverable classes surface as failed handles), the
 // deterministic seeded injector, cross-backend determinism of the whole
 // file path (GF backend x region layout x IO backend x pool width), manifest
-// hardening and checksum-journal replay.
+// hardening, checksum-journal replay, the frozen sector-hash versions and
+// version-1 stores.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "stair/io_pipeline.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "v1_store.h"
 
 namespace stair {
 namespace {
@@ -850,6 +852,215 @@ TEST(StripeStorePrimitives, FlippedByteErasesExactlyItsRow) {
   std::vector<bool> mask;
   EXPECT_EQ(StripeStore::erasure_mask(bad, mask), 1u);
   EXPECT_TRUE(mask[row * c.cfg.n + dev]);
+}
+
+// --- content_hash64 ---------------------------------------------------------
+
+namespace {
+
+/// Deterministic test bytes: splitmix64 outputs, 8 bytes (LE) each.
+std::vector<std::uint8_t> kat_bytes(std::size_t len, std::uint64_t seed = 0x5eed) {
+  std::vector<std::uint8_t> out(len);
+  std::uint64_t z = 0;
+  for (std::size_t i = 0; i < len; ++i) {
+    if (i % 8 == 0) {
+      seed += 0x9e3779b97f4a7c15ULL;
+      z = (seed ^ (seed >> 30)) * 0xbf58476d1ce4e5b9ULL;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+      z ^= z >> 31;
+    }
+    out[i] = static_cast<std::uint8_t>(z >> (8 * (i % 8)));
+  }
+  return out;
+}
+
+struct KnownAnswer {
+  std::size_t len;
+  std::uint64_t v1, v2;
+};
+
+// v1 values are what content_hash64 returned before the 8-lane body: every
+// version-1 store on disk holds checksums made by exactly this function.
+constexpr KnownAnswer kKnownAnswers[] = {
+    {0, 0x9531ddf6c224a121ULL, 0x898dd9f3ee95b005ULL},
+    {1, 0x11ce8d16e28d6ca0ULL, 0xd2a486fe52d152daULL},
+    {7, 0x912e46ca4def4703ULL, 0x93b10ae2a1561452ULL},
+    {8, 0x4ce78e0cb8d121a0ULL, 0x3b47bee49c59a448ULL},
+    {63, 0xb9b0936c3947d200ULL, 0x941c53dbaaf793fbULL},
+    {64, 0x01224d5933ff91ceULL, 0x67d0e2c84101ed32ULL},
+    {65, 0x60855c4ccd99ba18ULL, 0x62fb2262fa3d41b0ULL},
+    {1000, 0x2651bd89f025f15fULL, 0x05063e2c936dbbbeULL},
+    {16384, 0xc0bf14178bfd5b6eULL, 0xcb25ffd95ff0d12eULL},
+};
+
+constexpr std::size_t kSector = 16384;
+
+}  // namespace
+
+// Checksums are persisted, so both hash versions are frozen: a change to
+// either body would turn every stored sector of that version into "corrupt".
+TEST(ContentHash, KnownAnswers) {
+  for (const KnownAnswer& k : kKnownAnswers) {
+    const auto bytes = kat_bytes(k.len);
+    EXPECT_EQ(content_hash64_v1(bytes), k.v1) << "len " << k.len;
+    EXPECT_EQ(content_hash64(bytes), k.v2) << "len " << k.len;
+  }
+}
+
+TEST(ContentHash, EverySingleBitFlipChangesTheSectorHash) {
+  auto sector = kat_bytes(kSector);
+  const std::uint64_t clean = content_hash64(sector);
+  for (std::size_t i = 0; i < kSector; ++i) {
+    const auto bit = static_cast<std::uint8_t>(1u << (i % 8));
+    sector[i] ^= bit;
+    ASSERT_NE(content_hash64(sector), clean) << "bit " << i % 8 << " of byte " << i;
+    sector[i] ^= bit;
+  }
+}
+
+// The lanes are folded in order and seeded apart, so words trading lanes
+// within a block is a different input, not a permutation the hash ignores.
+TEST(ContentHash, SwappingWordsAcrossLanesChangesTheSectorHash) {
+  auto sector = kat_bytes(kSector);
+  const std::uint64_t clean = content_hash64(sector);
+  for (std::size_t block = 0; block < kSector / 64; ++block)
+    for (std::size_t a = 0; a < 8; ++a)
+      for (std::size_t b = a + 1; b < 8; ++b) {
+        std::uint8_t* wa = sector.data() + block * 64 + a * 8;
+        std::uint8_t* wb = sector.data() + block * 64 + b * 8;
+        ASSERT_FALSE(std::equal(wa, wa + 8, wb));
+        std::swap_ranges(wa, wa + 8, wb);
+        ASSERT_NE(content_hash64(sector), clean)
+            << "block " << block << " lanes " << a << "," << b;
+        std::swap_ranges(wa, wa + 8, wb);
+      }
+}
+
+// A torn sector write: the new prefix landed, the old suffix did not.
+TEST(ContentHash, TornSectorAtEvery512ByteCutChangesTheHash) {
+  const auto old_sector = kat_bytes(kSector, 1);
+  const auto new_sector = kat_bytes(kSector, 2);
+  const std::uint64_t old_hash = content_hash64(old_sector);
+  const std::uint64_t new_hash = content_hash64(new_sector);
+  for (std::size_t cut = 512; cut < kSector; cut += 512) {
+    auto torn = old_sector;
+    std::copy_n(new_sector.begin(), cut, torn.begin());
+    const std::uint64_t h = content_hash64(torn);
+    EXPECT_NE(h, old_hash) << "cut " << cut;
+    EXPECT_NE(h, new_hash) << "cut " << cut;
+  }
+}
+
+// --- store versions ---------------------------------------------------------
+
+namespace {
+
+std::string first_line(const fs::path& p) {
+  const std::string text = slurp(p);
+  return text.substr(0, text.find('\n'));
+}
+
+}  // namespace
+
+TEST(StoreVersion, EncodeWritesVersion2) {
+  TempDir dir("ver2");
+  encode_store(dir, fault_cases()[0], 10 * 1000, 61);
+  EXPECT_EQ(first_line(dir.path / "store" / "manifest.txt"), "stair_store 2");
+  EXPECT_EQ(StripeStore::load((dir.path / "store").string()).version, 2);
+}
+
+// A version-1 store (checksums made with content_hash64_v1) decodes, serves
+// ranged reads and still catches a flipped byte.
+TEST(StoreVersion, V1StoreDecodesAndServesRangesByteExact) {
+  const StoreCase c = fault_cases()[0];
+  TempDir dir("ver1");
+  const std::size_t bytes = 48 * 1000 + 123;
+  const auto data = encode_store(dir, c, bytes, 62);
+  const std::string store_path = (dir.path / "store").string();
+  const StripeStore v2 = StripeStore::load(store_path);
+  downgrade_to_v1(store_path);
+  EXPECT_EQ(first_line(dir.path / "store" / "manifest.txt"), "stair_store 1");
+  const StripeStore v1 = StripeStore::load(store_path);
+  ASSERT_EQ(v1.version, 1);
+  // The downgrade rehashed everything: no checksum carries over.
+  for (std::size_t i = 0; i < v1.sector_checksums.size(); ++i)
+    ASSERT_NE(v1.sector_checksums[i], v2.sector_checksums[i]) << "sector " << i;
+  EXPECT_NE(v1.data_checksum, v2.data_checksum);
+
+  auto st = decode_store(dir, c);
+  ASSERT_TRUE(st.ok) << st.error;
+  EXPECT_EQ(st.degraded_stripes, 0u);
+  EXPECT_EQ(st.sectors_corrupt, 0u);
+  EXPECT_EQ(read_all(dir.path / "output.bin"), data);
+
+  Codec codec(c.cfg);
+  IoPipeline pipeline(codec, {.symbol_bytes = c.symbol});
+  const std::size_t stripe_data = codec.code().data_symbol_count() * c.symbol;
+  for (const std::uint64_t offset :
+       {std::uint64_t{0}, std::uint64_t{stripe_data - 100}, std::uint64_t{bytes - 700}}) {
+    std::vector<std::uint8_t> out(700);
+    const auto rr = pipeline.read_range(v1, store_path, offset, out);
+    ASSERT_TRUE(rr.ok) << rr.error;
+    EXPECT_EQ(rr.degraded_stripes, 0u);
+    EXPECT_TRUE(std::equal(out.begin(), out.end(), data.begin() + offset)) << offset;
+  }
+
+  flip_bytes(dev_path(dir, 1), v1.chunk_offset(0) + 5, 1);
+  st = decode_store(dir, c);
+  ASSERT_TRUE(st.ok) << st.error;
+  EXPECT_EQ(st.sectors_corrupt, 1u);
+  EXPECT_EQ(st.degraded_stripes, 1u);
+  EXPECT_EQ(read_all(dir.path / "output.bin"), data);
+}
+
+// save writes back the loaded version, and a version-1 store's journal
+// records are hashed with the version-1 function.
+TEST(StoreVersion, V1StoreSavesAndJournalsAsV1) {
+  const StoreCase c = fault_cases()[0];
+  TempDir dir("ver1save");
+  encode_store(dir, c, 48 * 1000, 63);
+  const std::string store_path = (dir.path / "store").string();
+  downgrade_to_v1(store_path);
+  const StripeStore v1 = StripeStore::load(store_path);
+  v1.save(store_path);
+  EXPECT_EQ(first_line(dir.path / "store" / "manifest.txt"), "stair_store 1");
+  EXPECT_EQ(StripeStore::load(store_path).sector_checksums, v1.sector_checksums);
+
+  StripeStore changed = variant(v1, 1, 7);
+  spit(journal_of(dir), record_text(changed, 1));
+  StripeStore loaded = StripeStore::load(store_path);
+  EXPECT_EQ(stripe_sums(loaded, 1), stripe_sums(changed, 1));
+  EXPECT_EQ(loaded.journal_bytes, v1.journal_record_bytes());
+
+  // The same words sealed with the version-2 hash are damage to a v1 store.
+  auto rec = changed.journal_record(1);
+  const std::uint64_t v2_seal = content_hash64(std::span(rec.data(), rec.size() - 8));
+  for (int i = 0; i < 8; ++i)
+    rec[rec.size() - 8 + i] = static_cast<std::uint8_t>(v2_seal >> (8 * i));
+  spit(journal_of(dir), std::string(rec.begin(), rec.end()));
+  loaded = StripeStore::load(store_path);
+  EXPECT_EQ(loaded.sector_checksums, v1.sector_checksums);
+  EXPECT_EQ(loaded.journal_bytes, 0u);
+}
+
+TEST(StoreVersion, UnknownOrMissingVersionRejected) {
+  const StoreCase c = fault_cases()[0];
+  const std::pair<std::string, std::string> patches[] = {
+      {"stair_store 2\n", "stair_store 3\n"},
+      {"stair_store 2\n", "stair_store 0\n"},
+      {"stair_store 2\n", ""},
+  };
+  for (const auto& [from, to] : patches) {
+    SCOPED_TRACE("'" + to + "'");
+    TempDir dir("vernew");
+    encode_store(dir, c, 10 * 1000, 64);
+    patch_manifest(dir, from, to);
+    EXPECT_THROW(StripeStore::load((dir.path / "store").string()), std::runtime_error);
+    const auto st = decode_store(dir, c);
+    EXPECT_FALSE(st.ok);
+    EXPECT_NE(st.error.find("manifest"), std::string::npos) << st.error;
+    EXPECT_EQ(st.manifest_errors, 1u);
+  }
 }
 
 // --- ranged reads -----------------------------------------------------------

@@ -4,9 +4,9 @@
 // ranged degraded reads served concurrently, phase-scoped fault plans that
 // hit scrub IO while foreground traffic stays healthy, pacing (token bucket
 // + idle-slot gate), the battery around the manifest as recovery point
-// (scrub and rebuild leave it and the checksum journal untouched), and the
-// races TSan watches: scrub vs foreground reads, scrub vs rewrite, repair vs
-// scrub.
+// (scrub and rebuild leave it and the checksum journal untouched), scrubbing
+// a version-1 store, and the races TSan watches: scrub vs foreground reads,
+// scrub vs rewrite, repair vs scrub.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +26,7 @@
 #include "stair/scrub_repair.h"
 #include "stair/service.h"
 #include "util/rng.h"
+#include "v1_store.h"
 
 namespace stair {
 namespace {
@@ -594,6 +595,39 @@ TEST(ScrubRepairTest, RepairAndRebuildLeaveTheManifestFilesUntouched) {
   ASSERT_TRUE(dec.ok) << dec.error;
   EXPECT_EQ(dec.degraded_stripes, 0u);
   EXPECT_EQ(read_all(crashed.path / "output.bin"), data);
+}
+
+// A version-1 store is scrubbed against its version-1 checksums: one
+// flipped byte is found and repaired, and the manifest stays version 1.
+TEST(ScrubRepairTest, V1StoreScrubFindsAndRepairsAFlippedByte) {
+  const StoreCase c = fault_cases()[0];
+  TempDir dir("v1");
+  const auto data = encode_store(dir, c, 48 * 1024, 63);
+  downgrade_to_v1(store_dir(dir));
+  const auto clean = device_contents(dir, c.cfg.n);
+  const auto manifest = read_all(StripeStore::manifest_path(store_dir(dir)));
+
+  const StripeStore store = StripeStore::load(store_dir(dir));
+  ASSERT_EQ(store.version, 1);
+  flip_bytes(dev_path(dir, 2), store.chunk_offset(1) + c.symbol + 5, 1);
+
+  Codec codec(c.cfg);
+  Scrubber scrubber(codec, {});
+  const ScrubReport rep = scrubber.scrub(store_dir(dir));
+  EXPECT_TRUE(rep.ok) << rep.error;
+  EXPECT_EQ(rep.sectors_corrupt, 1u);
+  EXPECT_EQ(rep.sectors_repaired, 1u);
+  EXPECT_EQ(rep.stripes_unrecoverable, 0u);
+  const ScrubReport again = scrubber.scrub(store_dir(dir));
+  EXPECT_TRUE(again.ok) << again.error;
+  EXPECT_EQ(again.sectors_corrupt, 0u);
+  EXPECT_EQ(device_contents(dir, c.cfg.n), clean);
+  EXPECT_EQ(read_all(StripeStore::manifest_path(store_dir(dir))), manifest);
+
+  const auto dec = decode_store(dir, c);
+  ASSERT_TRUE(dec.ok) << dec.error;
+  EXPECT_EQ(dec.degraded_stripes, 0u);
+  EXPECT_EQ(read_all(dir.path / "output.bin"), data);
 }
 
 // --- races (the TSan battery) ------------------------------------------------

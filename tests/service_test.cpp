@@ -2,12 +2,12 @@
 // Round trips through submit() across tenants and classes, write-path
 // persistence (manifest refresh, drain/restart byte-identity, decode_file
 // agreement), the checksum journal (crash-copy recovery, compaction bound,
-// fixed record size), admission control (fail-fast rejects, bounded queues under
-// flood), multi-tenant fairness (a flooding tenant cannot starve another's
-// reads), priority (queued reads dispatch ahead of queued scans), degraded
-// serving during device loss, scrub-while-serving integration, and the
-// TSan-watched races: concurrent submitters, reader-vs-writer on one
-// stripe, stats() vs everything.
+// fixed record size, version-1 stores), admission control (fail-fast
+// rejects, bounded queues under flood), multi-tenant fairness (a flooding
+// tenant cannot starve another's reads), priority (queued reads dispatch
+// ahead of queued scans), degraded serving during device loss,
+// scrub-while-serving integration, and the TSan-watched races: concurrent
+// submitters, reader-vs-writer on one stripe, stats() vs everything.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +27,7 @@
 #include "stair/io_pipeline.h"
 #include "stair/service.h"
 #include "util/rng.h"
+#include "v1_store.h"
 
 namespace stair {
 namespace {
@@ -334,6 +335,61 @@ TEST(ServiceJournal, RecordSizeDoesNotGrowWithTheStore) {
     node.stop();
   }
   EXPECT_EQ(grew[0], grew[1]);
+}
+
+/// A version-1 store stays one: a node's writes append records sealed with
+/// the version-1 hash, they replay when a node restarts on a copy taken
+/// while the first still ran, and compaction writes `stair_store 1`.
+TEST(ServiceJournal, V1StoreWritesReplayAndCompactAsV1) {
+  TempDir dir("v1");
+  auto data = encode_store(dir, 40'000, 26);
+  downgrade_to_v1(store_dir(dir));
+
+  Codec codec(kCfg);
+  StorageNode node(codec, store_dir(dir), {.tenants = 1, .workers = 2});
+  node.start();
+  ASSERT_EQ(node.store().version, 1);
+  const std::size_t stripe_data = node.stripe_data_bytes();
+  const std::size_t stripes = node.store().stripes;
+  Rng rng(27);
+  for (const std::size_t s : {std::size_t{0}, stripes - 1}) {
+    const std::size_t len = std::min(stripe_data, data.size() - s * stripe_data);
+    std::vector<std::uint8_t> fresh(len);
+    rng.fill(fresh);
+    const Response r = node.submit(write_req(0, s, fresh)).wait();
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_TRUE(r.error.empty()) << r.error;
+    std::memcpy(data.data() + s * stripe_data, fresh.data(), len);
+  }
+  EXPECT_EQ(journal_size(dir), 2 * node.store().journal_record_bytes());
+
+  TempDir crashed("v1_copy");
+  fs::copy(store_dir(dir), store_dir(crashed), fs::copy_options::recursive);
+  const StripeStore replayed = StripeStore::load(store_dir(crashed));
+  EXPECT_EQ(replayed.version, 1);
+  EXPECT_EQ(replayed.journal_bytes, 2 * replayed.journal_record_bytes());
+  {
+    Codec codec2(kCfg);
+    StorageNode restarted(codec2, store_dir(crashed), {.tenants = 1, .workers = 2});
+    restarted.start();
+    std::vector<std::uint8_t> got(data.size());
+    const Response r = restarted.submit(read_req(0, 0, got)).wait();
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(got, data);
+    restarted.stop();
+  }
+
+  node.stop();
+  EXPECT_EQ(journal_size(dir), 0u);
+  const auto snapshot = slurp(StripeStore::manifest_path(store_dir(dir)));
+  const std::string head = "stair_store 1\n";
+  EXPECT_TRUE(std::equal(head.begin(), head.end(), snapshot.begin()));
+  Codec codec3(kCfg);
+  IoPipeline pipeline(codec3, {.symbol_bytes = kSymbol});
+  const auto st = pipeline.decode_file(store_dir(dir), (dir.path / "out.bin").string());
+  ASSERT_TRUE(st.ok) << st.error;
+  EXPECT_EQ(st.degraded_stripes, 0u);
+  EXPECT_EQ(slurp(dir.path / "out.bin"), data);
 }
 
 // --- admission control -------------------------------------------------------
